@@ -18,7 +18,7 @@ fn bench_checking_strategies(c: &mut Criterion) {
     let configs: [(&str, MinerConfig); 4] = [
         (
             "bounds+exact_auto",
-            common::paper_cfg(&db, rel, 0.8).with_fcp_method(FcpMethod::Auto { exact_cap: 8 }),
+            common::paper_cfg(&db, rel, 0.8).with_fcp_method(FcpMethod::Auto),
         ),
         (
             "bounds+sampling",
@@ -28,7 +28,7 @@ fn bench_checking_strategies(c: &mut Criterion) {
             "nobounds+exact_auto",
             common::paper_cfg(&db, rel, 0.8)
                 .with_variant(Variant::NoBound)
-                .with_fcp_method(FcpMethod::Auto { exact_cap: 8 }),
+                .with_fcp_method(FcpMethod::Auto),
         ),
         (
             "nobounds+sampling",

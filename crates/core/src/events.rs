@@ -33,6 +33,7 @@ use std::rc::Rc;
 
 use prob::cond_sample::ConditionalBernoulliSampler;
 use prob::dnf::UnionEventSystem;
+use prob::inclusion_exclusion::{SubsetJoints, UnionWalk};
 use prob::poisson_binomial::tail_at_least_with;
 use prob::union_bounds::PairwiseUnionBounds;
 use rand::{Rng, RngExt};
@@ -328,6 +329,44 @@ impl NonClosureEvents {
         (lower_fc, upper_fc, BoundTier::Refined)
     }
 
+    /// `Pr(∪ C_e)` by the pruned inclusion–exclusion walk
+    /// ([`prob::union_probability`]), evaluating at most `term_budget`
+    /// joints when one is given.
+    ///
+    /// Dominated events are dropped first: `mask_i ⊆ mask_j` implies
+    /// `C_i ⊆ C_j`, so the union is unchanged (among equal masks the
+    /// lowest index stays), and the walk's
+    /// [`MAX_EXACT_EVENTS`](prob::inclusion_exclusion::MAX_EXACT_EVENTS)
+    /// cap counts the events left. A subset whose mask intersection
+    /// holds fewer than `min_sup` positions, or leaves out a position of
+    /// probability 1, has joint 0, and so does every superset: the walk
+    /// skips them all.
+    pub fn exact_union(&self, term_budget: Option<u64>) -> UnionWalk {
+        let kept: Vec<&NcEvent> = self
+            .events
+            .iter()
+            .enumerate()
+            .filter(|&(i, e)| {
+                !self.events.iter().enumerate().any(|(j, d)| {
+                    j != i && e.mask.is_subset(&d.mask) && (j < i || !d.mask.is_subset(&e.mask))
+                })
+            })
+            .map(|(_, e)| e)
+            .collect();
+        let (k, m) = (self.probs.len(), kept.len());
+        let mut lattice = Lattice {
+            events: kept,
+            probs: &self.probs,
+            min_sup: self.min_sup,
+            root: TidBitmap::full(k),
+            masks: vec![TidBitmap::new(k); m],
+            absent: vec![1.0; m],
+            present: Vec::with_capacity(k),
+            dp: vec![0.0; self.min_sup + 1],
+        };
+        prob::union_probability(&mut lattice, term_budget)
+    }
+
     fn sampler(&self, i: usize) -> Rc<ConditionalBernoulliSampler> {
         if let Some(s) = &self.samplers.borrow()[i] {
             return Rc::clone(s);
@@ -339,6 +378,57 @@ impl NonClosureEvents {
         ));
         self.samplers.borrow_mut()[i] = Some(Rc::clone(&s));
         s
+    }
+}
+
+/// The walk state of [`NonClosureEvents::exact_union`]: per depth, the
+/// mask intersection and absence factor of the subset built so far, in
+/// buffers allocated once per walk.
+struct Lattice<'a> {
+    events: Vec<&'a NcEvent>,
+    probs: &'a [f64],
+    min_sup: usize,
+    /// Every position: the intersection of the empty subset.
+    root: TidBitmap,
+    masks: Vec<TidBitmap>,
+    absent: Vec<f64>,
+    /// Scratch: probabilities at the current intersection's positions.
+    present: Vec<f64>,
+    dp: Vec<f64>,
+}
+
+impl SubsetJoints for Lattice<'_> {
+    fn num_events(&self) -> usize {
+        self.events.len()
+    }
+
+    fn extend(&mut self, depth: usize, event: usize) -> f64 {
+        let event = self.events[event];
+        let (parents, rest) = self.masks.split_at_mut(depth);
+        let (parent, parent_absent) = match depth {
+            0 => (&self.root, 1.0),
+            _ => (&parents[depth - 1], self.absent[depth - 1]),
+        };
+        let mask = &mut rest[0];
+        parent.and_into(&event.mask, mask);
+        if mask.count() < self.min_sup {
+            return 0.0;
+        }
+        // Positions the new event drops from the intersection are forced
+        // absent too.
+        let absent = parent
+            .diff_iter(&event.mask)
+            .fold(parent_absent, |acc, pos| acc * (1.0 - self.probs[pos]));
+        self.absent[depth] = absent;
+        if absent == 0.0 {
+            return 0.0;
+        }
+        if depth == 0 {
+            return event.prob;
+        }
+        self.present.clear();
+        self.present.extend(mask.iter().map(|pos| self.probs[pos]));
+        absent * tail_at_least_with(&self.present, self.min_sup, &mut self.dp)
     }
 }
 
@@ -606,6 +696,7 @@ impl EventTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use utdb::PossibleWorlds;
 
     fn table2() -> UncertainDatabase {
@@ -930,5 +1021,149 @@ mod tests {
                 est.estimate
             );
         }
+    }
+
+    /// The unpruned `2^m − 1`-term inclusion–exclusion sum over every
+    /// event, each joint computed from scratch by [`NonClosureEvents::joint`]:
+    /// the reference the pruned walk must match.
+    fn all_subsets_union(fam: &NonClosureEvents) -> f64 {
+        let m = fam.len();
+        let mut subset = Vec::with_capacity(m);
+        let mut total = 0.0f64;
+        for mask in 1u32..(1u32 << m) {
+            subset.clear();
+            subset.extend((0..m).filter(|i| mask >> i & 1 == 1));
+            let term = fam.joint(&subset);
+            if subset.len() % 2 == 1 {
+                total += term;
+            } else {
+                total -= term;
+            }
+        }
+        total
+    }
+
+    /// A tiny database whose item tid-sets are fresh, copied (equal
+    /// masks), thinned (nested masks) or widened copies of earlier ones,
+    /// with an occasional certain row (an absence factor of 0).
+    fn structured_db(seed: u64, rows: usize, num_items: usize) -> UncertainDatabase {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut tidsets: Vec<Vec<bool>> = Vec::new();
+        for _ in 0..num_items {
+            let fresh = |rng: &mut SmallRng| (0..rows).map(|_| rng.random_bool(0.6)).collect();
+            let set = if tidsets.is_empty() {
+                fresh(&mut rng)
+            } else {
+                let from = tidsets[rng.random_range(0..tidsets.len())].clone();
+                match rng.random_range(0..4u32) {
+                    0 => fresh(&mut rng),
+                    1 => from,
+                    2 => from.iter().map(|&t| t && rng.random_bool(0.7)).collect(),
+                    _ => from.iter().map(|&t| t || rng.random_bool(0.3)).collect(),
+                }
+            };
+            tidsets.push(set);
+        }
+        let lines: Vec<(String, f64)> = (0..rows)
+            .filter_map(|r| {
+                let names: Vec<String> = (0..num_items)
+                    .filter(|&i| tidsets[i][r])
+                    .map(|i| format!("i{i}"))
+                    .collect();
+                let p = if rng.random_bool(0.1) {
+                    1.0
+                } else {
+                    rng.random_range(0.3..1.0)
+                };
+                (!names.is_empty()).then(|| (names.join(" "), p))
+            })
+            .collect();
+        let refs: Vec<(&str, f64)> = lines.iter().map(|(s, p)| (s.as_str(), *p)).collect();
+        UncertainDatabase::parse_symbolic(&refs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The pruned walk over the undominated events equals the full
+        /// `2^m` sum and possible-world enumeration, and a budget one
+        /// term short of what the walk took makes it give up.
+        #[test]
+        fn pruned_walk_matches_the_full_sum_and_the_worlds(
+            seed in 0u64..u64::MAX,
+            rows in 3usize..=9,
+            num_items in 2usize..=7,
+            min_sup in 1usize..=4,
+        ) {
+            let db = structured_db(seed, rows, num_items);
+            for x_id in 0..db.num_items() as u32 {
+                let x = [Item(x_id)];
+                let fam = family_for(&db, &x, min_sup);
+                let walk = fam.exact_union(None);
+                let union = walk.prob().expect("families this small finish");
+                let reference = all_subsets_union(&fam);
+                prop_assert!(
+                    (union - reference).abs() <= 1e-12,
+                    "X={x_id} ms={min_sup}: walk {union} vs 2^m {reference}"
+                );
+                let pr_f = pfim::frequent_probability(&db, &x, min_sup);
+                let worlds = crate::exact::exact_fcp_by_worlds(&db, &x, min_sup);
+                let by_walk = (pr_f - union).clamp(0.0, pr_f);
+                prop_assert!(
+                    (by_walk - worlds).abs() <= 1e-12,
+                    "X={x_id} ms={min_sup}: walk FCP {by_walk} vs worlds {worlds}"
+                );
+                let terms = walk.terms();
+                prop_assert!(terms < 1u64 << fam.len());
+                prop_assert_eq!(fam.exact_union(Some(terms)), walk);
+                if terms > 0 {
+                    prop_assert_eq!(
+                        fam.exact_union(Some(terms - 1)),
+                        UnionWalk::GaveUp { terms: terms - 1 }
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dominated_events_are_dropped_before_the_walk() {
+        // For X = {d}, the extensions a, b and c all cover T(d): three
+        // equal masks, of which only the first is walked.
+        let db = table2();
+        let fam = family_for(&db, &items(&db, "d"), 1);
+        assert_eq!(fam.len(), 3);
+        let walk = fam.exact_union(None);
+        assert_eq!(walk.terms(), 1);
+        assert!((walk.prob().unwrap() - all_subsets_union(&fam)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn short_intersections_prune_their_sublattice() {
+        // Four incomparable extensions of x, any two sharing only the
+        // last row: every pair falls below min_sup 2, so the walk takes
+        // the 4 singletons and 6 pairs and skips the 5 larger subsets.
+        let db = UncertainDatabase::parse_symbolic(&[
+            ("x p", 0.9),
+            ("x p", 0.8),
+            ("x q", 0.7),
+            ("x q", 0.9),
+            ("x r", 0.6),
+            ("x r", 0.9),
+            ("x s", 0.8),
+            ("x s", 0.7),
+            ("x p q r s", 0.5),
+        ]);
+        let x = items(&db, "x");
+        let fam = family_for(&db, &x, 2);
+        assert_eq!(fam.len(), 4);
+        let walk = fam.exact_union(None);
+        assert_eq!(walk.terms(), 10);
+        assert!((walk.prob().unwrap() - all_subsets_union(&fam)).abs() < 1e-12);
+        let pr_f = pfim::frequent_probability(&db, &x, 2);
+        let worlds = crate::exact::exact_fcp_by_worlds(&db, &x, 2);
+        assert!(((pr_f - walk.prob().unwrap()) - worlds).abs() < 1e-12);
     }
 }

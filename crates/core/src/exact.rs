@@ -4,8 +4,9 @@
 //! Two independent exact routes:
 //!
 //! * [`exact_fcp_inclusion_exclusion`] — `Pr_F(X)` minus the exact union
-//!   probability of the non-closure events by inclusion–exclusion
-//!   (`2^m` joint evaluations; `m` capped);
+//!   probability of the non-closure events by the miner's own pruned
+//!   inclusion–exclusion walk (`m` capped after dropping dominated
+//!   events);
 //! * [`exact_fcp_by_worlds`] — direct possible-world enumeration
 //!   (`2^n` worlds; `n` capped).
 //!
@@ -14,16 +15,17 @@
 //! problem on small databases, the reference for every end-to-end test
 //! and for the precision/recall study (Fig. 11).
 
-use prob::inclusion_exclusion::{exact_union_probability, MAX_EXACT_EVENTS};
 use utdb::{Item, PossibleWorlds, UncertainDatabase};
 
 use crate::events::NonClosureEvents;
 use crate::result::Pfci;
 
-/// Exact `Pr_FC(X)` via inclusion–exclusion over the non-closure events.
+/// Exact `Pr_FC(X)` via inclusion–exclusion over the non-closure events
+/// ([`NonClosureEvents::exact_union`] without a term budget).
 ///
-/// Returns `None` when the itemset has more than
-/// [`MAX_EXACT_EVENTS`] positive-probability events (fall back to
+/// Returns `None` when more than
+/// [`prob::inclusion_exclusion::MAX_EXACT_EVENTS`] undominated
+/// positive-probability events remain (fall back to
 /// [`crate::fcp::approx_fcp`]).
 pub fn exact_fcp_inclusion_exclusion(
     db: &UncertainDatabase,
@@ -37,10 +39,7 @@ pub fn exact_fcp_inclusion_exclusion(
         .map(Item)
         .filter(|i| !itemset.contains(i));
     let events = NonClosureEvents::build(db, &tids, ext, min_sup);
-    if events.len() > MAX_EXACT_EVENTS {
-        return None;
-    }
-    let union = exact_union_probability(events.len(), |s| events.joint(s));
+    let union = events.exact_union(None).prob()?;
     Some((pr_f - union).clamp(0.0, pr_f))
 }
 

@@ -42,7 +42,7 @@ pub use dnf::{
 };
 pub use gauss::{clamped_gaussian, standard_normal};
 pub use hoeffding::{hoeffding_infrequent, hoeffding_tail_upper};
-pub use inclusion_exclusion::exact_union_probability;
+pub use inclusion_exclusion::{exact_union_probability, union_probability};
 pub use poisson_binomial::{RemovalRefusal, SupportDistribution, TailDp};
 pub use union_bounds::PairwiseUnionBounds;
 

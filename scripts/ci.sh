@@ -13,6 +13,11 @@ run() {
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo test --workspace -q
+# The CLI tests run in parallel against temp files of their own; repeat
+# the binary so a shared-file race between them cannot pass unnoticed.
+for _ in 1 2 3 4 5; do
+    run cargo test -q --test cli
+done
 # Threads matrix: re-run the workspace suite with the differential
 # tests pinned to an explicit sequential + parallel worker pair.
 run env PFCIM_TEST_THREADS=1,4 cargo test --workspace -q
@@ -43,6 +48,14 @@ run cargo run --release -q -p pfcim --bin pfcim -- profile "$profdir/smoke.dat" 
 run grep -q '"traceEvents"' "$profdir/trace.json"
 run grep -q '^pfcim_nodes_visited ' "$profdir/metrics.prom"
 run grep -q '^# TYPE pfcim_audit_incremental counter' "$profdir/metrics.prom"
+# Exact-first FCP checking: a default mine of the smoke dataset, which
+# drew ~1.3 M Karp–Luby samples under the old fixed 8-event cap, must be
+# resolved by inclusion–exclusion alone.
+run cargo run --release -q -p pfcim --bin pfcim -- "$profdir/smoke.dat" \
+    --min-sup 1% --prom "$profdir/default.prom" >/dev/null
+run grep -q '^pfcim_fcp_exact [1-9]' "$profdir/default.prom"
+run grep -qx 'pfcim_fcp_sampled 0' "$profdir/default.prom"
+run grep -qx 'pfcim_samples_drawn 0' "$profdir/default.prom"
 
 # Live-telemetry smoke: launch a deliberately slowed mine with the
 # scrape endpoint on an ephemeral port, curl /metrics, /healthz and

@@ -7,8 +7,10 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pfcim"))
 }
 
-fn write_running_example() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("pfcim_cli_test_{}.dat", std::process::id()));
+/// Write the running example to a file of the calling test's own: the
+/// tests of this binary run in parallel and each deletes its file.
+fn write_running_example(test: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("pfcim_cli_{test}_{}.dat", std::process::id()));
     let mut f = std::fs::File::create(&path).unwrap();
     writeln!(f, "1 2 3 4 : 0.9").unwrap();
     writeln!(f, "1 2 3 : 0.6").unwrap();
@@ -19,7 +21,7 @@ fn write_running_example() -> std::path::PathBuf {
 
 #[test]
 fn mines_the_running_example() {
-    let path = write_running_example();
+    let path = write_running_example("mines_the_running_example");
     let out = bin()
         .args([path.to_str().unwrap(), "--min-sup", "2", "--pfct", "0.8"])
         .output()
@@ -35,7 +37,7 @@ fn mines_the_running_example() {
 
 #[test]
 fn percentage_min_sup_and_variants_agree() {
-    let path = write_running_example();
+    let path = write_running_example("percentage_min_sup_and_variants_agree");
     let mut outputs = Vec::new();
     for variant in ["mpfci", "bfs", "naive"] {
         let out = bin()
@@ -67,7 +69,7 @@ fn percentage_min_sup_and_variants_agree() {
 
 #[test]
 fn stats_flag_reports_counters() {
-    let path = write_running_example();
+    let path = write_running_example("stats_flag_reports_counters");
     let out = bin()
         .args([path.to_str().unwrap(), "--min-sup", "2", "--stats"])
         .output()
@@ -79,7 +81,7 @@ fn stats_flag_reports_counters() {
 
 #[test]
 fn metrics_flag_writes_registry_snapshot() {
-    let path = write_running_example();
+    let path = write_running_example("metrics_flag_writes_registry_snapshot");
     let metrics =
         std::env::temp_dir().join(format!("pfcim_cli_metrics_{}.json", std::process::id()));
     let out = bin()
@@ -120,7 +122,7 @@ fn bad_usage_exits_nonzero() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
-    let path = write_running_example();
+    let path = write_running_example("bad_usage_exits_nonzero");
     let out = bin()
         .args([path.to_str().unwrap(), "--min-sup", "150%"])
         .output()

@@ -257,7 +257,10 @@ fn jsonl_trace_round_trips_through_a_file() {
     // Stream DFS and BFS runs into one JSONL file, read it back, and
     // check the parsed events reconcile with both runs' summed stats.
     let db = table2();
-    let path = std::env::temp_dir().join("pfcim_observability_trace.jsonl");
+    let path = std::env::temp_dir().join(format!(
+        "pfcim_observability_trace_{}.jsonl",
+        std::process::id()
+    ));
     let mut sink = JsonlSink::create(&path).expect("create trace file");
     let dfs = mine_dfs_with(&db, &config(), &mut sink);
     let bfs = mine_bfs_with(&db, &bfs_config(), &mut sink);

@@ -120,14 +120,14 @@ fn naive_matches_the_oracle_set() {
 
 #[test]
 fn auto_method_matches_exact_method() {
-    // Auto switches between inclusion-exclusion and sampling; on small
-    // fan-outs it must be bit-identical to ExactOnly.
+    // Auto runs the exact walk first and samples only when the walk
+    // exhausts its budget; on small fan-outs it must agree with ExactOnly.
     for seed in 44..52 {
         let db = random_utdb(seed, 8, 5, 0.5);
         let exact = mine(&db, &exact_cfg(2, 0.4));
         let auto = mine(
             &db,
-            &MinerConfig::new(2, 0.4).with_fcp_method(FcpMethod::Auto { exact_cap: 24 }),
+            &MinerConfig::new(2, 0.4).with_fcp_method(FcpMethod::Auto),
         );
         assert_eq!(exact.itemsets(), auto.itemsets(), "seed={seed}");
     }
