@@ -66,7 +66,8 @@ fn bench_estimators(c: &mut Criterion) {
     // event family: fixed-N Karp–Luby (the paper's ApproxFCP), the
     // adaptive stopping-rule variant, and the naive world sampler at the
     // same sample budget.
-    use pfcim_core::{approx_fcp, approx_fcp_adaptive, NonClosureEvents};
+    use pfcim_core::{approx_fcp, estimate_fcp, NonClosureEvents};
+    use prob::dnf::{required_samples, Budget};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use utdb::Item;
@@ -89,7 +90,12 @@ fn bench_estimators(c: &mut Criterion) {
     });
     group.bench_function("approx_fcp_adaptive", |b| {
         let mut rng = SmallRng::seed_from_u64(11);
-        b.iter(|| black_box(approx_fcp_adaptive(&events, pr_f, 0.2, 0.1, &mut rng)))
+        let budget = Budget::StoppingRule {
+            epsilon: 0.2,
+            delta: 0.1,
+            cap: required_samples(events.considered_items(), 0.2, 0.1),
+        };
+        b.iter(|| black_box(estimate_fcp(&events, pr_f, budget, 1, &mut rng)))
     });
     group.bench_function("naive_world_sampling", |b| {
         let mut rng = SmallRng::seed_from_u64(11);

@@ -295,23 +295,33 @@ impl MinerConfig {
         self
     }
 
+    /// Check the thresholds' ranges: the one place they are spelled out.
+    /// Front ends (the CLI, the serve parser) report the error to their
+    /// caller; [`MinerConfig::validate`] panics on it.
+    pub fn check(&self) -> Result<(), String> {
+        let require = |holds: bool, msg: &str| if holds { Ok(()) } else { Err(msg.to_owned()) };
+        require(self.min_sup >= 1, "min_sup must be at least 1")?;
+        require((0.0..1.0).contains(&self.pfct), "pfct must lie in [0, 1)")?;
+        require(self.epsilon > 0.0, "epsilon must be positive")?;
+        require(
+            self.delta > 0.0 && self.delta < 1.0,
+            "delta must lie in (0, 1)",
+        )?;
+        require(
+            self.dp_error_tol >= 0.0 && self.dp_error_tol.is_finite(),
+            "dp_error_tol must be finite and non-negative",
+        )
+    }
+
     /// Validate invariants; called by the miners at entry.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range thresholds.
+    /// Panics on out-of-range thresholds (see [`MinerConfig::check`]).
     pub fn validate(&self) {
-        assert!(self.min_sup >= 1, "min_sup must be at least 1");
-        assert!((0.0..1.0).contains(&self.pfct), "pfct must lie in [0, 1)");
-        assert!(self.epsilon > 0.0, "epsilon must be positive");
-        assert!(
-            self.delta > 0.0 && self.delta < 1.0,
-            "delta must lie in (0, 1)"
-        );
-        assert!(
-            self.dp_error_tol >= 0.0 && self.dp_error_tol.is_finite(),
-            "dp_error_tol must be finite and non-negative"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 

@@ -21,16 +21,16 @@
 
 use std::sync::Arc;
 
-use prob::dnf::required_samples;
+use prob::dnf::{required_samples, Budget};
 use prob::inclusion_exclusion::MAX_EXACT_EVENTS;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use utdb::{Item, TidBitmap, UncertainDatabase};
 
 use crate::cache::SharedEventCache;
 use crate::config::{FcpMethod, MinerConfig};
 use crate::events::{BoundTier, EventTable, NonClosureEvents};
-use crate::fcp::{approx_fcp_adaptive_traced, approx_fcp_chunked_traced, approx_fcp_traced};
+use crate::fcp::estimate_fcp;
 use crate::result::Pfci;
 use crate::stats::{DpAudit, KernelStats, MinerStats, PhaseTimers};
 use crate::trace::{timed, FcpEvalKind, MinerSink, Phase, PruneKind};
@@ -168,32 +168,8 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
     /// `ApproxFCP`, no bounds.
     pub fn evaluate_naive(&mut self, items: &[Item], tids: &TidBitmap, pr_f: f64) -> Option<Pfci> {
         let events = self.events_for(items, tids);
-        let r = if self.threads > 1 {
-            let call_seed = self.rng.next_u64();
-            approx_fcp_chunked_traced(
-                &events,
-                pr_f,
-                self.cfg.epsilon,
-                self.cfg.delta,
-                self.threads,
-                call_seed,
-                &mut self.timers,
-                &mut *self.sink,
-            )
-        } else {
-            approx_fcp_traced(
-                &events,
-                pr_f,
-                self.cfg.epsilon,
-                self.cfg.delta,
-                &mut self.rng,
-                &mut self.timers,
-                &mut *self.sink,
-            )
-        };
-        self.stats.fcp_sampled += 1;
-        self.stats.samples_drawn += r.samples as u64;
-        (r.fcp > self.cfg.pfct).then(|| self.emit(items, r.fcp, pr_f))
+        let fcp = self.sample_fcp(&events, pr_f, false);
+        (fcp > self.cfg.pfct).then(|| self.emit(items, fcp, pr_f))
     }
 
     fn compute_fcp(&mut self, events: &NonClosureEvents, pr_f: f64) -> f64 {
@@ -205,9 +181,8 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
                 self.cfg.epsilon,
                 self.cfg.delta,
             ) as u64),
-            FcpMethod::ApproxOnly | FcpMethod::ApproxAdaptive => {
-                return self.sample_fcp(events, pr_f)
-            }
+            FcpMethod::ApproxOnly => return self.sample_fcp(events, pr_f, false),
+            FcpMethod::ApproxAdaptive => return self.sample_fcp(events, pr_f, true),
         };
         let walk = timed(Phase::FcpExact, &mut self.timers, &mut *self.sink, || {
             events.exact_union(term_budget)
@@ -221,46 +196,30 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
             term_budget.is_some(),
             "ExactOnly: more than {MAX_EXACT_EVENTS} undominated non-closure events"
         );
-        self.sample_fcp(events, pr_f)
+        self.sample_fcp(events, pr_f, false)
     }
 
-    /// `ApproxFCP` for the configured sampling method.
-    fn sample_fcp(&mut self, events: &NonClosureEvents, pr_f: f64) -> f64 {
-        let r = if matches!(self.cfg.fcp_method, FcpMethod::ApproxAdaptive) {
-            // The stopping rule is inherently sequential (each draw
-            // decides whether to continue), so it never chunks.
-            approx_fcp_adaptive_traced(
-                events,
-                pr_f,
-                self.cfg.epsilon,
-                self.cfg.delta,
-                &mut self.rng,
-                &mut self.timers,
-                &mut *self.sink,
-            )
-        } else if self.threads > 1 {
-            let call_seed = self.rng.next_u64();
-            approx_fcp_chunked_traced(
-                events,
-                pr_f,
-                self.cfg.epsilon,
-                self.cfg.delta,
-                self.threads,
-                call_seed,
-                &mut self.timers,
-                &mut *self.sink,
-            )
+    /// `ApproxFCP` with the paper's `(ε, δ)` budget: a fixed sample count,
+    /// chunked over the run's threads, or with `stopping_rule` the
+    /// adaptive stopping rule capped at that count, which never chunks.
+    fn sample_fcp(&mut self, events: &NonClosureEvents, pr_f: f64, stopping_rule: bool) -> f64 {
+        let (epsilon, delta) = (self.cfg.epsilon, self.cfg.delta);
+        let n = required_samples(events.considered_items(), epsilon, delta);
+        let budget = if stopping_rule {
+            Budget::StoppingRule {
+                epsilon,
+                delta,
+                cap: n,
+            }
         } else {
-            approx_fcp_traced(
-                events,
-                pr_f,
-                self.cfg.epsilon,
-                self.cfg.delta,
-                &mut self.rng,
-                &mut self.timers,
-                &mut *self.sink,
-            )
+            Budget::Fixed(n)
         };
+        let (threads, rng) = (self.threads, &mut self.rng);
+        let r = timed(Phase::FcpSample, &mut self.timers, &mut *self.sink, || {
+            estimate_fcp(events, pr_f, budget, threads, rng)
+        });
+        self.sink
+            .fcp_evaluated(FcpEvalKind::Sampled, r.samples as u64);
         self.stats.fcp_sampled += 1;
         self.stats.samples_drawn += r.samples as u64;
         r.fcp

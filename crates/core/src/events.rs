@@ -28,8 +28,7 @@
 //! computation happens over `k = |T(X)|` *positions*, not the whole
 //! database.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::OnceLock;
 
 use prob::cond_sample::ConditionalBernoulliSampler;
 use prob::dnf::UnionEventSystem;
@@ -66,12 +65,19 @@ pub struct NonClosureEvents {
     /// Extension items examined at construction — the paper's
     /// `k = m − |X|`, which sizes the `ApproxFCP` sample budget.
     considered: usize,
-    /// Lazily built conditional samplers, one per event.
-    samplers: RefCell<Vec<Option<Rc<ConditionalBernoulliSampler>>>>,
-    /// Scratch for joint computations.
-    scratch: RefCell<JointScratch>,
+    /// Conditional samplers, one per event, each built on first use. The
+    /// slots themselves are allocated on the family's first sample, so a
+    /// family that is only bounded or walked allocates none.
+    samplers: OnceLock<Box<[OnceLock<ConditionalBernoulliSampler>]>>,
 }
 
+// Chunked `ApproxFCP` shares one family between worker threads.
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<NonClosureEvents>();
+};
+
+/// Reusable buffers for [`NonClosureEvents::joint_with`].
 #[derive(Default)]
 struct JointScratch {
     probs: Vec<f64>,
@@ -176,15 +182,13 @@ impl NonClosureEvents {
         considered: usize,
     ) -> Self {
         let total_mass = events.iter().map(|e| e.prob).sum();
-        let samplers = RefCell::new(vec![None; events.len()]);
         Self {
             probs,
             min_sup,
             events,
             total_mass,
             considered,
-            samplers,
-            scratch: RefCell::new(JointScratch::default()),
+            samplers: OnceLock::new(),
         }
     }
 
@@ -225,12 +229,16 @@ impl NonClosureEvents {
     /// The conjunction forces every position outside the mask intersection
     /// absent and at least `min_sup` present inside it.
     pub fn joint(&self, subset: &[usize]) -> f64 {
+        self.joint_with(subset, &mut JointScratch::default())
+    }
+
+    /// [`NonClosureEvents::joint`] on caller-owned buffers, so a loop over
+    /// many joints allocates once.
+    fn joint_with(&self, subset: &[usize], scratch: &mut JointScratch) -> f64 {
         match subset {
             [] => 1.0,
             [i] => self.events[*i].prob,
             [first, rest @ ..] => {
-                let mut scratch = self.scratch.borrow_mut();
-                let scratch = &mut *scratch;
                 let mask = scratch
                     .mask
                     .get_or_insert_with(|| self.events[*first].mask.clone());
@@ -311,13 +319,11 @@ impl NonClosureEvents {
         let mut bounds =
             PairwiseUnionBounds::new(order.iter().map(|&i| self.events[i].prob).collect())
                 .with_dropped_mass(dropped.max(0.0));
+        let mut scratch = JointScratch::default();
         for (a, &i) in order.iter().enumerate() {
             for (b, &j) in order.iter().enumerate().skip(a + 1) {
-                let joint = if i < j {
-                    self.joint(&[i, j])
-                } else {
-                    self.joint(&[j, i])
-                };
+                let pair = if i < j { [i, j] } else { [j, i] };
+                let joint = self.joint_with(&pair, &mut scratch);
                 // Guard against DP rounding pushing the joint a hair above
                 // a marginal.
                 let cap = self.events[i].prob.min(self.events[j].prob);
@@ -367,17 +373,13 @@ impl NonClosureEvents {
         prob::union_probability(&mut lattice, term_budget)
     }
 
-    fn sampler(&self, i: usize) -> Rc<ConditionalBernoulliSampler> {
-        if let Some(s) = &self.samplers.borrow()[i] {
-            return Rc::clone(s);
-        }
-        let event = &self.events[i];
-        let s = Rc::new(ConditionalBernoulliSampler::new(
-            event.mask_probs.clone(),
-            self.min_sup,
-        ));
-        self.samplers.borrow_mut()[i] = Some(Rc::clone(&s));
-        s
+    fn sampler(&self, i: usize) -> &ConditionalBernoulliSampler {
+        let slots = self
+            .samplers
+            .get_or_init(|| self.events.iter().map(|_| OnceLock::new()).collect());
+        slots[i].get_or_init(|| {
+            ConditionalBernoulliSampler::new(self.events[i].mask_probs.clone(), self.min_sup)
+        })
     }
 }
 
@@ -527,70 +529,6 @@ impl UnionEventSystem for NonClosureEvents {
         // Positions outside the mask are forced absent by C_i; map the
         // conditional draws back onto mask positions.
         let mut world = TidBitmap::new(self.probs.len());
-        for (draw_idx, pos) in event.mask.iter().enumerate() {
-            if draws[draw_idx] {
-                world.insert(pos);
-            }
-        }
-        world
-    }
-
-    fn world_satisfies(&self, world: &TidBitmap, j: usize) -> bool {
-        let event = &self.events[j];
-        world.is_subset(&event.mask) && world.count() >= self.min_sup
-    }
-}
-
-/// A `Sync` sampling view over a [`NonClosureEvents`] family.
-///
-/// [`NonClosureEvents`] keeps interior-mutable caches (`RefCell`/`Rc`
-/// lazy samplers, joint scratch) and therefore cannot be shared across
-/// the worker threads of chunked `ApproxFCP`. This view borrows the
-/// plain event data and *eagerly* builds one owned
-/// [`ConditionalBernoulliSampler`] per event, so it contains no interior
-/// mutability at all and `&SampleView` crosses threads freely.
-///
-/// Its [`UnionEventSystem`] implementation draws bit-identically to the
-/// parent family given an equal RNG state.
-pub struct SampleView<'a> {
-    events: &'a [NcEvent],
-    samplers: Vec<ConditionalBernoulliSampler>,
-    num_positions: usize,
-    min_sup: usize,
-}
-
-impl NonClosureEvents {
-    /// Build a thread-shareable sampling view (see [`SampleView`]).
-    pub fn sample_view(&self) -> SampleView<'_> {
-        SampleView {
-            events: &self.events,
-            samplers: self
-                .events
-                .iter()
-                .map(|e| ConditionalBernoulliSampler::new(e.mask_probs.clone(), self.min_sup))
-                .collect(),
-            num_positions: self.probs.len(),
-            min_sup: self.min_sup,
-        }
-    }
-}
-
-impl UnionEventSystem for SampleView<'_> {
-    type World = TidBitmap;
-
-    fn num_events(&self) -> usize {
-        self.events.len()
-    }
-
-    fn event_prob(&self, i: usize) -> f64 {
-        self.events[i].prob
-    }
-
-    fn sample_world_given(&self, i: usize, rng: &mut dyn Rng) -> TidBitmap {
-        let event = &self.events[i];
-        let mut draws = Vec::with_capacity(event.mask_probs.len());
-        self.samplers[i].sample_into(rng, &mut draws);
-        let mut world = TidBitmap::new(self.num_positions);
         for (draw_idx, pos) in event.mask.iter().enumerate() {
             if draws[draw_idx] {
                 world.insert(pos);
@@ -918,28 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_view_is_sync_and_draws_identically_to_the_family() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        fn assert_sync<T: Sync>(_: &T) {}
-        let db = table2();
-        let fam = family_for(&db, &items(&db, "d"), 1);
-        let view = fam.sample_view();
-        assert_sync(&view);
-        assert_eq!(view.num_events(), fam.len());
-        for i in 0..fam.len() {
-            assert_eq!(view.event_prob(i), fam.event_prob(i));
-        }
-        // Equal RNG state ⇒ bit-identical Karp–Luby estimates.
-        let mut rng_a = SmallRng::seed_from_u64(99);
-        let mut rng_b = SmallRng::seed_from_u64(99);
-        let a = prob::karp_luby_union_with_samples(&fam, 5_000, &mut rng_a);
-        let b = prob::karp_luby_union_with_samples(&view, 5_000, &mut rng_b);
-        assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
-        assert_eq!(a.samples, b.samples);
-    }
-
-    #[test]
     fn event_table_projection_is_bitwise_identical_to_direct_build() {
         let db = table2();
         for (x_s, ms) in [("a b c", 2), ("d", 1), ("a", 2), ("a b", 2), ("c", 3)] {
@@ -1014,7 +930,8 @@ mod tests {
             }
             let exact = prob::exact_union_probability(fam.len(), |s| fam.joint(s));
             let mut rng = SmallRng::seed_from_u64(23);
-            let est = prob::karp_luby_union(&fam, 0.05, 0.05, &mut rng);
+            let n = prob::dnf::required_samples(fam.len(), 0.05, 0.05);
+            let est = prob::estimate_union(&fam, prob::Budget::Fixed(n), &mut rng);
             assert!(
                 (est.estimate - exact).abs() <= 0.05 * exact + 0.01,
                 "X={x_s} ms={ms}: {} vs {exact}",

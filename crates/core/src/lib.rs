@@ -90,12 +90,9 @@ pub use config::{
     default_event_cache_capacity, FcpMethod, MinerConfig, PruningConfig, SearchStrategy, Variant,
     DEFAULT_EVENT_CACHE_CAPACITY,
 };
-pub use events::{BoundTier, EventTable, NonClosureEvents, SampleView};
+pub use events::{BoundTier, EventTable, NonClosureEvents};
 pub use exact::{exact_fcp_by_worlds, exact_fcp_inclusion_exclusion, exact_pfci_set};
-pub use fcp::{
-    approx_fcp, approx_fcp_adaptive, approx_fcp_adaptive_traced, approx_fcp_chunked,
-    approx_fcp_chunked_traced, approx_fcp_traced,
-};
+pub use fcp::{approx_fcp, estimate_fcp};
 pub use metrics::{lint_prometheus, Histogram, HistogramSink, HistogramSummary, MetricsRegistry};
 pub use miner::{Algorithm, Miner, SinkedMiner};
 pub use par::{

@@ -161,6 +161,11 @@ impl SpanProfiler {
     /// Record only every `n`-th node span (and the phases inside it);
     /// `0` is treated as `1` (record everything). Run spans and pool
     /// spans are never sampled out.
+    ///
+    /// The count is kept per shard: the parallel DFS gives each root
+    /// subtree a shard of its own, so a run over `r` roots records
+    /// `Σ⌊n_i/n⌋` node spans, between `N/n − r·(n−1)/n` and `⌊N/n⌋` for
+    /// `N` nodes. Which nodes are recorded never depends on scheduling.
     pub fn with_sampling(mut self, n: u32) -> Self {
         self.sample_every = n.max(1);
         self
@@ -495,24 +500,42 @@ mod tests {
     #[test]
     fn sampling_records_a_subset_of_nodes() {
         let db = table4();
-        let mut full = SpanProfiler::new();
-        let out_full = Miner::new(&db).min_sup(2).pfct(0.8).sink(&mut full).run();
-        let mut sampled = SpanProfiler::new().with_sampling(4);
-        let out_sampled = Miner::new(&db)
-            .min_sup(2)
-            .pfct(0.8)
-            .sink(&mut sampled)
-            .run();
-        assert_eq!(out_full.itemsets(), out_sampled.itemsets());
         let count = |p: &SpanProfiler| {
             p.spans()
                 .iter()
                 .filter(|s| s.kind == SpanKind::Node)
                 .count() as u64
         };
-        assert_eq!(count(&full), out_full.stats.nodes_visited);
-        assert_eq!(count(&sampled), out_sampled.stats.nodes_visited / 4);
-        assert_nested(sampled.spans());
+        for threads in [1, 2] {
+            let mine = |prof: &mut SpanProfiler| {
+                Miner::new(&db)
+                    .min_sup(2)
+                    .pfct(0.8)
+                    .threads(threads)
+                    .sink(prof)
+                    .run()
+            };
+            let mut full = SpanProfiler::new();
+            let out_full = mine(&mut full);
+            let mut sampled = SpanProfiler::new().with_sampling(4);
+            let out_sampled = mine(&mut sampled);
+            assert_eq!(out_full.itemsets(), out_sampled.itemsets());
+            assert_eq!(count(&full), out_full.stats.nodes_visited);
+            let n = out_sampled.stats.nodes_visited;
+            let got = count(&sampled);
+            if threads == 1 {
+                assert_eq!(got, n / 4);
+            } else {
+                // One 1-in-4 counter per shard, one shard per DFS root:
+                // each shard drops at most 3 nodes of its remainder.
+                let shards = db.num_items() as u64;
+                assert!(
+                    4 * got + 3 * shards >= n && got <= n / 4,
+                    "{got} node spans from {n} nodes over {shards} shards"
+                );
+            }
+            assert_nested(sampled.spans());
+        }
     }
 
     #[test]

@@ -378,27 +378,9 @@ impl QueryRequest {
                     }
                     min_sup = Some(n as usize);
                 }
-                "pfct" => {
-                    let p = num(value, key)?;
-                    if !(0.0..1.0).contains(&p) {
-                        return Err("pfct must lie in [0, 1)".into());
-                    }
-                    pfct = Some(p);
-                }
-                "epsilon" => {
-                    let e = num(value, key)?;
-                    if e <= 0.0 {
-                        return Err("epsilon must be positive".into());
-                    }
-                    config.epsilon = e;
-                }
-                "delta" => {
-                    let d = num(value, key)?;
-                    if d <= 0.0 || d >= 1.0 {
-                        return Err("delta must lie in (0, 1)".into());
-                    }
-                    config.delta = d;
-                }
+                "pfct" => pfct = Some(num(value, key)?),
+                "epsilon" => config.epsilon = num(value, key)?,
+                "delta" => config.delta = num(value, key)?,
                 "threads" => {
                     let t = num(value, key)?;
                     if t < 0.0 || t.fract() != 0.0 {
@@ -448,6 +430,7 @@ impl QueryRequest {
         }
         config.min_sup = min_sup.ok_or("missing required key min_sup")?;
         config.pfct = pfct.ok_or("missing required key pfct")?;
+        config.check()?;
         Ok(Self {
             snapshot: snapshot.ok_or("missing required key snapshot")?,
             config,

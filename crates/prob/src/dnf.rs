@@ -6,6 +6,11 @@
 //! with `N = ⌈4m · ln(2/δ) / ε²⌉` samples it returns an estimate within a
 //! `(1 ± ε)` factor of the truth with probability at least `1 − δ`.
 //!
+//! [`estimate_union`] is the one sampling loop. A [`Budget`] says when it
+//! stops: after a fixed number of samples (the FPRAS above), or by the
+//! Dagum–Karp–Luby–Ross stopping rule, which adapts the sample count to
+//! the unknown union.
+//!
 //! The paper's `ApproxFCP` procedure (Fig. 2) is this estimator applied to
 //! the family of frequent-non-closure events `C_i`; the abstraction here is
 //! the generic [`UnionEventSystem`] so the algorithm can be tested against
@@ -34,15 +39,47 @@ pub trait UnionEventSystem {
     fn world_satisfies(&self, world: &Self::World, j: usize) -> bool;
 }
 
-/// Outcome of a coverage-estimator run.
+/// How many coverage samples [`estimate_union`] draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KarpLubyEstimate {
+pub enum Budget {
+    /// Exactly `n` samples; the estimate is `Z·hits/n`. With
+    /// `n = required_samples(m, ε, δ)` this is the Karp–Luby–Madras
+    /// `(ε, δ)` FPRAS.
+    Fixed(usize),
+    /// The **stopping-rule algorithm** of Dagum, Karp, Luby & Ross ("An
+    /// optimal algorithm for Monte Carlo estimation"): sample until the
+    /// hit count reaches `Υ = 1 + 4(e−2)(1+ε)·ln(2/δ)/ε²`, then estimate
+    /// `Z·Υ/N`. The expected sample count is `O(Υ · Z / Pr(∪A))`, so it
+    /// adapts to the unknown value instead of paying the fixed
+    /// `4m·ln(2/δ)/ε²` worst case — a large saving exactly when the union
+    /// is not small relative to `Z`.
+    ///
+    /// `cap` bounds the loop for unions that are tiny relative to `Z`;
+    /// when it is hit, the plain sample mean `Z·hits/N` is returned with
+    /// `converged = false`.
+    StoppingRule {
+        /// Relative error `ε > 0`.
+        epsilon: f64,
+        /// Failure probability `δ ∈ (0, 1)`.
+        delta: f64,
+        /// Most samples to draw.
+        cap: usize,
+    },
+}
+
+/// Outcome of an [`estimate_union`] run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UnionEstimate {
     /// Estimated `Pr(∪ A_i)`.
     pub estimate: f64,
-    /// Number of samples drawn.
+    /// Samples drawn.
     pub samples: usize,
     /// Total singleton mass `Z = Σ Pr(A_i)` (the normalizing constant).
     pub total_mass: f64,
+    /// False only when a [`Budget::StoppingRule`] run hit its cap before
+    /// the rule fired: the estimate is then the plain mean over the drawn
+    /// samples and the `(ε, δ)` guarantee does not apply.
+    pub converged: bool,
 }
 
 /// Number of coverage samples required for an `(ε, δ)` relative-error
@@ -58,33 +95,39 @@ pub fn required_samples(m: usize, epsilon: f64, delta: f64) -> usize {
     n.ceil() as usize
 }
 
-/// Estimate `Pr(A_1 ∪ … ∪ A_m)` with the coverage algorithm at the
-/// `(ε, δ)` sample size.
-pub fn karp_luby_union<S, R>(system: &S, epsilon: f64, delta: f64, rng: &mut R) -> KarpLubyEstimate
-where
-    S: UnionEventSystem,
-    R: Rng,
-{
-    let n = required_samples(system.num_events(), epsilon, delta);
-    karp_luby_union_with_samples(system, n, rng)
-}
-
-/// Coverage algorithm with an explicit sample budget.
+/// Estimate `Pr(A_1 ∪ … ∪ A_m)` with the coverage algorithm under
+/// `budget`.
 ///
 /// Each sample draws an event index `i` with probability `Pr(A_i)/Z`, then
 /// a world `ω ~ Pr(· | A_i)`, and scores 1 iff `i` is the *first* event
 /// containing `ω`. The expectation of the score is `Pr(∪A)/Z`, because the
 /// pairs `(i, ω)` with `ω ∈ A_i` and `i = min{j : ω ∈ A_j}` partition the
-/// union.
-pub fn karp_luby_union_with_samples<S, R>(
-    system: &S,
-    samples: usize,
-    rng: &mut R,
-) -> KarpLubyEstimate
+/// union. An empty or zero-mass family draws nothing and returns 0.
+///
+/// # Panics
+///
+/// A [`Budget::StoppingRule`] panics unless `0 < ε` and `0 < δ < 1`.
+pub fn estimate_union<S, R>(system: &S, budget: Budget, rng: &mut R) -> UnionEstimate
 where
     S: UnionEventSystem,
     R: Rng,
 {
+    // The hit count that stops the loop, and the most samples to draw.
+    let (upsilon, cap) = match budget {
+        Budget::Fixed(n) => (f64::INFINITY, n),
+        Budget::StoppingRule {
+            epsilon,
+            delta,
+            cap,
+        } => {
+            assert!(epsilon > 0.0, "epsilon must be positive");
+            assert!((0.0..1.0).contains(&delta) && delta > 0.0, "delta in (0,1)");
+            let upsilon = 1.0
+                + 4.0 * (std::f64::consts::E - 2.0) * (1.0 + epsilon) * (2.0 / delta).ln()
+                    / (epsilon * epsilon);
+            (upsilon, cap)
+        }
+    };
     let m = system.num_events();
     // Cumulative singleton mass for event selection.
     let mut cumulative = Vec::with_capacity(m);
@@ -96,14 +139,17 @@ where
         cumulative.push(z);
     }
     if m == 0 || z <= 0.0 {
-        return KarpLubyEstimate {
+        return UnionEstimate {
             estimate: 0.0,
             samples: 0,
             total_mass: 0.0,
+            converged: true,
         };
     }
     let mut hits = 0usize;
-    for _ in 0..samples {
+    let mut drawn = 0usize;
+    while (hits as f64) < upsilon && drawn < cap {
+        drawn += 1;
         let u = rng.random::<f64>() * z;
         let i = match cumulative.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(idx) => idx + 1,
@@ -122,98 +168,16 @@ where
         let canonical = (0..i).all(|j| !system.world_satisfies(&world, j));
         hits += canonical as usize;
     }
-    let estimate = crate::clamp_prob(z * hits as f64 / samples.max(1) as f64).min(z);
-    KarpLubyEstimate {
-        estimate,
-        samples,
-        total_mass: z,
-    }
-}
-
-/// Outcome of the adaptive (stopping-rule) estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveEstimate {
-    /// Estimated `Pr(∪ A_i)`.
-    pub estimate: f64,
-    /// Samples actually drawn.
-    pub samples: usize,
-    /// Total singleton mass `Z`.
-    pub total_mass: f64,
-    /// False when the sample cap was hit before the stopping rule fired
-    /// (the estimate is then the plain mean over the drawn samples and
-    /// the `(ε, δ)` guarantee does not apply).
-    pub converged: bool,
-}
-
-/// Adaptive coverage estimation via the **stopping-rule algorithm** of
-/// Dagum, Karp, Luby & Ross ("An optimal algorithm for Monte Carlo
-/// estimation"): draw coverage samples until the number of successes
-/// reaches `Υ = 1 + 4(e−2)(1+ε)·ln(2/δ)/ε²`, then estimate
-/// `Z · Υ / N`. The expected sample count is `O(Υ · Z / Pr(∪A))` — it
-/// *adapts* to the unknown value instead of paying the fixed
-/// `4m·ln(2/δ)/ε²` worst case of [`karp_luby_union_with_samples`], which
-/// is a large saving exactly when the union is not small relative to `Z`
-/// (the common case for the miner's non-closure families).
-///
-/// `max_samples` caps the loop for unions that are tiny relative to `Z`;
-/// when hit, the plain sample mean is returned with `converged = false`.
-pub fn karp_luby_union_adaptive<S, R>(
-    system: &S,
-    epsilon: f64,
-    delta: f64,
-    max_samples: usize,
-    rng: &mut R,
-) -> AdaptiveEstimate
-where
-    S: UnionEventSystem,
-    R: Rng,
-{
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    assert!((0.0..1.0).contains(&delta) && delta > 0.0, "delta in (0,1)");
-    let m = system.num_events();
-    let mut cumulative = Vec::with_capacity(m);
-    let mut z = 0.0f64;
-    for i in 0..m {
-        let p = system.event_prob(i);
-        z += p;
-        cumulative.push(z);
-    }
-    if m == 0 || z <= 0.0 {
-        return AdaptiveEstimate {
-            estimate: 0.0,
-            samples: 0,
-            total_mass: 0.0,
-            converged: true,
-        };
-    }
-    let upsilon = 1.0
-        + 4.0 * (std::f64::consts::E - 2.0) * (1.0 + epsilon) * (2.0 / delta).ln()
-            / (epsilon * epsilon);
-    let mut hits = 0usize;
-    let mut drawn = 0usize;
-    while (hits as f64) < upsilon && drawn < max_samples {
-        drawn += 1;
-        let u = rng.random::<f64>() * z;
-        let i = match cumulative.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(idx) => idx + 1,
-            Err(idx) => idx,
-        }
-        .min(m - 1);
-        if system.event_prob(i) == 0.0 {
-            continue;
-        }
-        let world = system.sample_world_given(i, rng);
-        let canonical = (0..i).all(|j| !system.world_satisfies(&world, j));
-        hits += canonical as usize;
-    }
-    let converged = (hits as f64) >= upsilon;
-    let ratio = if converged {
-        upsilon / drawn as f64
-    } else {
-        hits as f64 / drawn.max(1) as f64
+    let converged = matches!(budget, Budget::Fixed(_)) || (hits as f64) >= upsilon;
+    // Each budget keeps its own operation order, so seeded estimates are
+    // reproducible bit for bit.
+    let estimate = match budget {
+        Budget::Fixed(n) => z * hits as f64 / n.max(1) as f64,
+        Budget::StoppingRule { .. } if converged => z * (upsilon / drawn as f64),
+        Budget::StoppingRule { .. } => z * (hits as f64 / drawn.max(1) as f64),
     };
-    AdaptiveEstimate {
-        estimate: crate::clamp_prob(z * ratio).min(z),
+    UnionEstimate {
+        estimate: crate::clamp_prob(estimate).min(z),
         samples: drawn,
         total_mass: z,
         converged,
@@ -225,6 +189,19 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The `(ε, δ)` fixed budget sized by the family's event count.
+    fn fpras<S: UnionEventSystem>(sys: &S, epsilon: f64, delta: f64) -> Budget {
+        Budget::Fixed(required_samples(sys.num_events(), epsilon, delta))
+    }
+
+    fn stopping_rule(epsilon: f64, delta: f64, cap: usize) -> Budget {
+        Budget::StoppingRule {
+            epsilon,
+            delta,
+            cap,
+        }
+    }
 
     /// Test system: worlds are bit-vectors of independent Bernoulli
     /// variables; event i = "bit i is set".
@@ -290,7 +267,7 @@ mod tests {
         };
         let exact = 1.0 - 0.7 * 0.6 * 0.8 * 0.9;
         let mut rng = SmallRng::seed_from_u64(101);
-        let est = karp_luby_union(&sys, 0.05, 0.05, &mut rng);
+        let est = estimate_union(&sys, fpras(&sys, 0.05, 0.05), &mut rng);
         assert!(
             (est.estimate - exact).abs() <= 0.05 * exact + 0.01,
             "estimate {} vs exact {exact}",
@@ -304,7 +281,7 @@ mod tests {
         // return ~p.
         let sys = FullyCorrelated { p: 0.4, m: 10 };
         let mut rng = SmallRng::seed_from_u64(7);
-        let est = karp_luby_union(&sys, 0.05, 0.05, &mut rng);
+        let est = estimate_union(&sys, fpras(&sys, 0.05, 0.05), &mut rng);
         assert!((est.estimate - 0.4).abs() < 0.03, "{}", est.estimate);
         assert!((est.total_mass - 4.0).abs() < 1e-12);
     }
@@ -313,7 +290,7 @@ mod tests {
     fn empty_family_yields_zero() {
         let sys = IndependentBits { probs: vec![] };
         let mut rng = SmallRng::seed_from_u64(1);
-        let est = karp_luby_union(&sys, 0.1, 0.1, &mut rng);
+        let est = estimate_union(&sys, fpras(&sys, 0.1, 0.1), &mut rng);
         assert_eq!(est.estimate, 0.0);
         assert_eq!(est.total_mass, 0.0);
     }
@@ -324,7 +301,7 @@ mod tests {
             probs: vec![0.0, 0.5, 0.0],
         };
         let mut rng = SmallRng::seed_from_u64(3);
-        let est = karp_luby_union(&sys, 0.05, 0.05, &mut rng);
+        let est = estimate_union(&sys, fpras(&sys, 0.05, 0.05), &mut rng);
         assert!((est.estimate - 0.5).abs() < 0.03, "{}", est.estimate);
     }
 
@@ -334,7 +311,7 @@ mod tests {
             probs: vec![1.0, 0.2, 0.3],
         };
         let mut rng = SmallRng::seed_from_u64(4);
-        let est = karp_luby_union(&sys, 0.05, 0.05, &mut rng);
+        let est = estimate_union(&sys, fpras(&sys, 0.05, 0.05), &mut rng);
         assert!((est.estimate - 1.0).abs() < 0.02, "{}", est.estimate);
     }
 
@@ -345,7 +322,7 @@ mod tests {
         };
         let exact = 1.0 - 0.7 * 0.6 * 0.8 * 0.9;
         let mut rng = SmallRng::seed_from_u64(55);
-        let est = karp_luby_union_adaptive(&sys, 0.05, 0.05, usize::MAX, &mut rng);
+        let est = estimate_union(&sys, stopping_rule(0.05, 0.05, usize::MAX), &mut rng);
         assert!(est.converged);
         assert!(
             (est.estimate - exact).abs() <= 0.05 * exact + 0.01,
@@ -363,7 +340,7 @@ mod tests {
         probs.extend(std::iter::repeat_n(1e-3, 11));
         let sys = IndependentBits { probs };
         let mut rng = SmallRng::seed_from_u64(66);
-        let adaptive = karp_luby_union_adaptive(&sys, 0.1, 0.1, usize::MAX, &mut rng);
+        let adaptive = estimate_union(&sys, stopping_rule(0.1, 0.1, usize::MAX), &mut rng);
         let fixed_n = required_samples(12, 0.1, 0.1);
         assert!(adaptive.converged);
         assert!(
@@ -381,7 +358,7 @@ mod tests {
             probs: vec![1e-9, 1e-9],
         };
         let mut rng = SmallRng::seed_from_u64(77);
-        let est = karp_luby_union_adaptive(&sys, 0.1, 0.1, 500, &mut rng);
+        let est = estimate_union(&sys, stopping_rule(0.1, 0.1, 500), &mut rng);
         assert!(!est.converged || est.samples <= 500);
         assert!(est.samples <= 500);
         assert!(est.estimate <= est.total_mass);
@@ -391,7 +368,7 @@ mod tests {
     fn adaptive_empty_family() {
         let sys = IndependentBits { probs: vec![] };
         let mut rng = SmallRng::seed_from_u64(1);
-        let est = karp_luby_union_adaptive(&sys, 0.1, 0.1, 100, &mut rng);
+        let est = estimate_union(&sys, stopping_rule(0.1, 0.1, 100), &mut rng);
         assert_eq!(est.estimate, 0.0);
         assert!(est.converged);
     }
@@ -411,7 +388,7 @@ mod tests {
             probs: vec![0.9, 0.9, 0.9],
         };
         let mut rng = SmallRng::seed_from_u64(5);
-        let est = karp_luby_union_with_samples(&sys, 2_000, &mut rng);
+        let est = estimate_union(&sys, Budget::Fixed(2_000), &mut rng);
         assert!(est.estimate <= 1.0);
         assert!(est.estimate <= est.total_mass);
     }

@@ -36,10 +36,7 @@ pub use approximations::{
     le_cam_bound, tail_normal, tail_poisson, tail_refined_normal, PoissonBinomialMoments,
 };
 pub use cond_sample::ConditionalBernoulliSampler;
-pub use dnf::{
-    karp_luby_union, karp_luby_union_adaptive, karp_luby_union_with_samples, AdaptiveEstimate,
-    KarpLubyEstimate, UnionEventSystem,
-};
+pub use dnf::{estimate_union, Budget, UnionEstimate, UnionEventSystem};
 pub use gauss::{clamped_gaussian, standard_normal};
 pub use hoeffding::{hoeffding_infrequent, hoeffding_tail_upper};
 pub use inclusion_exclusion::{exact_union_probability, union_probability};

@@ -28,6 +28,10 @@ run env PFCIM_TEST_THREADS=1,4 cargo test --workspace -q
 run env PFCIM_SWEEP_ROWS=200 cargo test --release -q -p pfcim --test dp_tol_sweep
 run cargo test -p pfcim-core --features track-alloc -q
 run cargo check --benches --workspace
+# The benchmark is a workspace of its own, so the checks above never
+# compile it: build it against the library so an API change cannot
+# break it unnoticed.
+run cargo build --release --offline --manifest-path pfbench/Cargo.toml
 # Rustdoc must build clean: broken intra-doc links and malformed
 # examples are errors, not warnings.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

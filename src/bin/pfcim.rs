@@ -339,6 +339,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    if let Err(e) = config.check() {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
 
     let mut trace_sink = match &args.trace {
         Some(path) => match JsonlSink::create(path) {
@@ -718,8 +722,15 @@ fn run_stream() -> ExitCode {
         eprintln!("error: --window and --min-sup must be at least 1");
         return ExitCode::from(2);
     }
-    if !(pfct > 0.0 && pfct < 1.0) {
-        eprintln!("error: --pfct must lie in (0, 1)");
+    // Exact FCP evaluation keeps the maintained set bit-identical to a
+    // batch re-mine of the final window — the property the CI smoke
+    // byte-diffs (sampled FCP consumes RNG in node-visit order, which a
+    // focused run changes).
+    let miner_config = MinerConfig::new(min_sup, pfct)
+        .with_fcp_method(FcpMethod::ExactOnly)
+        .with_threads(threads);
+    if let Err(e) = miner_config.check() {
+        eprintln!("error: {e}");
         return ExitCode::from(2);
     }
 
@@ -735,16 +746,7 @@ fn run_stream() -> ExitCode {
         }
     };
 
-    // Exact FCP evaluation keeps the maintained set bit-identical to a
-    // batch re-mine of the final window — the property the CI smoke
-    // byte-diffs (sampled FCP consumes RNG in node-visit order, which a
-    // focused run changes).
-    let config = StreamConfig::new(
-        window,
-        MinerConfig::new(min_sup, pfct)
-            .with_fcp_method(FcpMethod::ExactOnly)
-            .with_threads(threads),
-    );
+    let config = StreamConfig::new(window, miner_config);
     let mut sm = StreamMiner::new(ItemDictionary::new(), config);
     // Raw integer ids are interned densely in numeric order, so interned
     // ids coincide with stream ids and `--dump-final` output feeds the

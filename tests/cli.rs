@@ -141,3 +141,48 @@ fn bad_usage_exits_nonzero() {
     assert_eq!(out.status.code(), Some(2));
     std::fs::remove_file(&path).ok();
 }
+
+/// Run `pfcim` with `args` and assert a usage error: exit code 2, the
+/// range message on stderr, and no panic.
+fn assert_rejected(args: &[&str], message: &str) {
+    let out = bin().args(args).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+}
+
+#[test]
+fn out_of_range_mining_parameters_are_usage_errors() {
+    let path = write_running_example("out_of_range_mining_parameters_are_usage_errors");
+    let file = path.to_str().unwrap();
+    let base = [file, "--min-sup", "1"];
+    for (flag, value, message) in [
+        ("--epsilon", "0", "epsilon must be positive"),
+        ("--epsilon", "nan", "epsilon must be positive"),
+        ("--delta", "1", "delta must lie in (0, 1)"),
+        ("--pfct", "1.5", "pfct must lie in [0, 1)"),
+    ] {
+        let mut args = base.to_vec();
+        args.extend([flag, value]);
+        assert_rejected(&args, message);
+    }
+    assert_rejected(
+        &["profile", file, "--min-sup", "2", "--delta", "2"],
+        "delta must lie in (0, 1)",
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn stream_rejects_out_of_range_parameters_like_batch() {
+    for (flag, value, message) in [
+        ("--pfct", "1", "pfct must lie in [0, 1)"),
+        ("--pfct", "-0.5", "pfct must lie in [0, 1)"),
+        ("--min-sup", "0", "--min-sup must be at least 1"),
+    ] {
+        let mut args = vec!["stream", "-", "--window", "4", "--min-sup", "2"];
+        args.extend([flag, value]);
+        assert_rejected(&args, message);
+    }
+}
