@@ -30,6 +30,13 @@ fn bench_dp(c: &mut Criterion) {
             let mut scratch = vec![0.0; k + 1];
             b.iter(|| black_box(tail_at_least_with(&p, k, &mut scratch)))
         });
+        // A threshold just below n, the shape of an event whose tid-set
+        // barely clears min_sup: only n − k + 1 states per trial are live.
+        let near = n - n / 16;
+        group.bench_with_input(BenchmarkId::new("scratch_near_n", n), &n, |b, _| {
+            let mut scratch = vec![0.0; near + 1];
+            b.iter(|| black_box(tail_at_least_with(&p, near, &mut scratch)))
+        });
     }
     group.finish();
 }

@@ -14,10 +14,12 @@
 //! Two itemsets with equal supporting tuples need identical non-closure
 //! event inputs (they differ only in which items are excluded), so the
 //! cache turns the repeated `O(k·m)` event construction into an `O(m)`
-//! projection. By default each evaluator owns a private cache (the
-//! legacy per-run MRU); a [`crate::snapshot::Snapshot`] hands every
-//! query the same `Arc`, so concurrent queries reuse each other's
-//! tables.
+//! projection — plus, the first time a projection keeps an item covering
+//! the whole tid-set, the one deferred tail DP of that table (see
+//! [`EventTable::family_excluding`]). By default each evaluator owns a
+//! private cache (the legacy per-run MRU); a
+//! [`crate::snapshot::Snapshot`] hands every query the same `Arc`, so
+//! concurrent queries reuse each other's tables.
 
 use std::sync::Arc;
 

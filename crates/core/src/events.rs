@@ -33,7 +33,7 @@ use std::sync::OnceLock;
 use prob::cond_sample::ConditionalBernoulliSampler;
 use prob::dnf::UnionEventSystem;
 use prob::inclusion_exclusion::{SubsetJoints, UnionWalk};
-use prob::poisson_binomial::tail_at_least_with;
+use prob::poisson_binomial::{tail_at_least, tail_at_least_with};
 use prob::union_bounds::PairwiseUnionBounds;
 use rand::{Rng, RngExt};
 use utdb::{Item, TidBitmap, UncertainDatabase};
@@ -85,27 +85,43 @@ struct JointScratch {
     mask: Option<TidBitmap>,
 }
 
-/// Shared event constructor: the mask / absence-factor / tail computation
-/// both [`NonClosureEvents::build`] and [`EventTable::build`] run per
-/// item. Returns `None` when `Pr(C_e) = 0`.
+/// One extension item's entry in a family under construction.
+enum Entry {
+    /// `T(X∪e) ⊂ T(X)`: the event, fully computed.
+    Event(NcEvent),
+    /// `T(X∪e) = T(X)`: the event is "`sup(X) ≥ min_sup`" itself, the
+    /// same for every such item (in particular every item of `X`). Its
+    /// probability is the full-cover tail, which the caller computes at
+    /// most once and only when it keeps a full-cover item.
+    FullCover(Item),
+}
+
+/// Shared event constructor: the count / mask / absence-factor / tail
+/// computation both [`NonClosureEvents::build`] and [`EventTable::build`]
+/// run per item. Returns `None` when `Pr(C_e) = 0`.
 ///
-/// `full_tail` caches `Pr{sup ≥ min_sup}` over *all* positions, shared by
-/// every item whose tid-set covers `T(X)` entirely (in particular every
-/// item of `X` itself) — those events differ only in their label.
-#[allow(clippy::too_many_arguments)]
+/// The count comes first: an item sharing fewer than `min_sup` tuples of
+/// `T(X)` is rejected, and a full-cover item is recognized, before any
+/// position is probed.
 fn event_for_item(
     db: &UncertainDatabase,
+    x_tids: &TidBitmap,
     positions: &[usize],
     probs: &[f64],
     item: Item,
     min_sup: usize,
     dp_scratch: &mut [f64],
-    full_tail: &mut Option<f64>,
-) -> Option<NcEvent> {
-    let k = positions.len();
+) -> Option<Entry> {
     let item_tids = db.bitmap_of(item);
-    let mut mask = TidBitmap::new(k);
-    let mut mask_probs = Vec::new();
+    let shared = x_tids.and_count(item_tids);
+    if shared < min_sup {
+        return None; // Pr(C_e) = 0
+    }
+    if shared == positions.len() {
+        return Some(Entry::FullCover(item));
+    }
+    let mut mask = TidBitmap::new(positions.len());
+    let mut mask_probs = Vec::with_capacity(shared);
     let mut absent_factor = 1.0f64;
     for (pos, &tid) in positions.iter().enumerate() {
         if item_tids.contains(tid) {
@@ -115,22 +131,30 @@ fn event_for_item(
             absent_factor *= 1.0 - probs[pos];
         }
     }
-    if mask_probs.len() < min_sup || absent_factor == 0.0 {
+    if absent_factor == 0.0 {
         return None; // Pr(C_e) = 0
     }
-    let tail = if mask_probs.len() == k {
-        *full_tail.get_or_insert_with(|| tail_at_least_with(&mask_probs, min_sup, dp_scratch))
-    } else {
-        tail_at_least_with(&mask_probs, min_sup, dp_scratch)
-    };
-    let prob = absent_factor * tail;
+    let prob = absent_factor * tail_at_least_with(&mask_probs, min_sup, dp_scratch);
     if prob <= 0.0 {
         return None;
     }
-    Some(NcEvent {
+    Some(Entry::Event(NcEvent {
         item,
         mask,
         mask_probs,
+        prob,
+    }))
+}
+
+/// The event of a full-cover item, whose probability is the full-cover
+/// tail `Pr{sup(X) ≥ min_sup}` times an absence factor over no positions
+/// (exactly `1.0`). Returns `None` when that tail is 0.
+fn full_cover_event(item: Item, probs: &[f64], tail: f64) -> Option<NcEvent> {
+    let prob = 1.0 * tail;
+    (prob > 0.0).then(|| NcEvent {
+        item,
+        mask: TidBitmap::full(probs.len()),
+        mask_probs: probs.to_vec(),
         prob,
     })
 }
@@ -156,17 +180,25 @@ impl NonClosureEvents {
         let mut considered = 0usize;
         for item in extension_items {
             considered += 1;
-            if let Some(event) = event_for_item(
+            let entry = event_for_item(
                 db,
+                x_tids,
                 &positions,
                 &probs,
                 item,
                 min_sup,
                 &mut dp_scratch,
-                &mut full_tail,
-            ) {
-                events.push(event);
-            }
+            );
+            events.extend(match entry {
+                None => None,
+                Some(Entry::Event(event)) => Some(event),
+                Some(Entry::FullCover(item)) => {
+                    let tail = *full_tail.get_or_insert_with(|| {
+                        tail_at_least_with(&probs, min_sup, &mut dp_scratch)
+                    });
+                    full_cover_event(item, &probs, tail)
+                }
+            });
         }
         Self::from_parts(probs, min_sup, events, considered)
     }
@@ -544,8 +576,9 @@ impl UnionEventSystem for NonClosureEvents {
 }
 
 /// A memoizable *superset* of a non-closure event family: one entry per
-/// database item (positive-probability events only), built once for a
-/// tid-set `T` and reusable for **every** itemset `X` with `T(X) = T`.
+/// database item whose event can have positive probability, built once
+/// for a tid-set `T` and reusable for **every** itemset `X` with
+/// `T(X) = T`.
 ///
 /// The per-event computation depends only on `(T, e, min_sup)` — never on
 /// `X` itself — so two itemsets with identical supporting tuples (exactly
@@ -560,8 +593,14 @@ pub struct EventTable {
     /// Existential probabilities of `tids`, position-indexed.
     probs: Vec<f64>,
     min_sup: usize,
-    /// Positive-probability events for ALL items, ascending item order.
-    entries: Vec<NcEvent>,
+    /// Entries for ALL items, ascending item order: positive-probability
+    /// events, and full-cover items whose event is built on projection.
+    entries: Vec<Entry>,
+    /// The full-cover tail `Pr{sup ≥ min_sup}` over all of `tids`,
+    /// computed by the first projection that keeps a full-cover entry.
+    /// Under `Mpfci`'s prunings an evaluated itemset usually has no
+    /// full-cover item but its own, so most tables never run this DP.
+    full_tail: OnceLock<f64>,
     /// Items examined (= the database's item-id range).
     considered: usize,
 }
@@ -573,18 +612,17 @@ impl EventTable {
         let positions: Vec<usize> = tids.iter().collect();
         let probs: Vec<f64> = positions.iter().map(|&tid| db.probability(tid)).collect();
         let mut dp_scratch = vec![0.0f64; min_sup + 1];
-        let mut full_tail = None;
         let considered = db.num_items();
         let entries = (0..considered as u32)
             .filter_map(|id| {
                 event_for_item(
                     db,
+                    tids,
                     &positions,
                     &probs,
                     Item(id),
                     min_sup,
                     &mut dp_scratch,
-                    &mut full_tail,
                 )
             })
             .collect();
@@ -593,6 +631,7 @@ impl EventTable {
             probs,
             min_sup,
             entries,
+            full_tail: OnceLock::new(),
             considered,
         }
     }
@@ -614,13 +653,22 @@ impl EventTable {
     /// Produces exactly what `NonClosureEvents::build(db, tids, all items
     /// except exclude, min_sup)` would — same events, same order, same
     /// floats — because every entry was computed by the same shared
-    /// constructor and item order is preserved.
+    /// constructor and item order is preserved. A kept full-cover entry
+    /// costs one tail DP over all positions, run once per table.
     pub fn family_excluding(&self, exclude: &[Item]) -> NonClosureEvents {
         let events: Vec<NcEvent> = self
             .entries
             .iter()
-            .filter(|e| !exclude.contains(&e.item))
-            .cloned()
+            .filter_map(|entry| match entry {
+                Entry::Event(e) if !exclude.contains(&e.item) => Some(e.clone()),
+                Entry::FullCover(item) if !exclude.contains(item) => {
+                    let tail = *self
+                        .full_tail
+                        .get_or_init(|| tail_at_least(&self.probs, self.min_sup));
+                    full_cover_event(*item, &self.probs, tail)
+                }
+                _ => None,
+            })
             .collect();
         NonClosureEvents::from_parts(
             self.probs.clone(),

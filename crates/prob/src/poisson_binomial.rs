@@ -12,7 +12,7 @@
 ///
 /// Stores the full probability mass function, which costs `O(n²)` to build.
 /// For the tail alone use [`tail_at_least`], which caps the DP at the
-/// threshold and runs in `O(n · k)`.
+/// threshold and runs in `O(n · min(k, n − k + 1))`.
 ///
 /// # Examples
 ///
@@ -113,9 +113,11 @@ impl SupportDistribution {
 /// `Pr{ S ≥ k }` for `S` the sum of independent Bernoulli trials with the
 /// given success probabilities, via the threshold-capped dynamic program.
 ///
-/// Runs in `O(n · min(k, n))` time and `O(min(k, n))` space. This is the
+/// Runs in `O(n · min(k, n − k + 1))` time and `O(k)` space. This is the
 /// polynomial-time frequent-probability routine the paper builds on
-/// (Definition 3.4); state `k` of the DP is absorbing ("already ≥ k").
+/// (Definition 3.4); state `k` of the DP is absorbing ("already ≥ k"),
+/// and a state that can no longer reach `k` with the trials left is
+/// never updated again (see [`tail_at_least_with`]).
 ///
 /// # Examples
 ///
@@ -138,11 +140,19 @@ pub fn tail_at_least(probs: &[f64], k: usize) -> f64 {
 
 /// As [`tail_at_least`], but reusing a caller-provided scratch buffer of
 /// length at least `k + 1` to avoid per-call allocation in hot loops.
+///
+/// Runs in `O(n · min(k, n − k + 1))` time: trial `t` (of `n`, from 0)
+/// updates only the *live* states `j ≥ k − (n − t − 1)`, the ones that
+/// can still reach `k` with the trials left. A live state reads only
+/// states that were live one trial earlier, so `f[k]` sees exactly the
+/// float operations, in exactly the order, of the DP that updates every
+/// state; the result is bit-identical to it.
 pub fn tail_at_least_with(probs: &[f64], k: usize, scratch: &mut [f64]) -> f64 {
+    let n = probs.len();
     if k == 0 {
         return 1.0;
     }
-    if k > probs.len() {
+    if k > n {
         return 0.0;
     }
     let f = &mut scratch[..=k];
@@ -151,17 +161,21 @@ pub fn tail_at_least_with(probs: &[f64], k: usize, scratch: &mut [f64]) -> f64 {
     // Highest non-absorbing state occupied before the current trial; caps
     // the inner loop while fewer than `k` trials have been processed.
     let mut hi = 0usize;
-    for &p in probs {
+    for (t, &p) in probs.iter().enumerate() {
         let q = 1.0 - p;
+        // Lowest live state after this trial: `k − (n − t − 1)`, or 0.
+        let lo = (k + t + 1).saturating_sub(n);
         if hi >= k - 1 {
             // Absorbing transition into "support already ≥ k".
             f[k] += f[k - 1] * p;
         }
         let top = (hi + 1).min(k - 1);
-        for j in (1..=top).rev() {
+        for j in (lo.max(1)..=top).rev() {
             f[j] = f[j] * q + f[j - 1] * p;
         }
-        f[0] *= q;
+        if lo == 0 {
+            f[0] *= q;
+        }
         if hi < k {
             hi += 1;
         }
@@ -774,6 +788,7 @@ impl TailDp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Brute-force tail by enumerating all 2^n outcomes.
     fn brute_tail(probs: &[f64], k: usize) -> f64 {
@@ -885,6 +900,75 @@ mod tests {
             let a = tail_at_least(&probs, k);
             let b = tail_at_least_with(&probs, k, &mut scratch);
             assert!((a - b).abs() < 1e-15, "k={k}");
+        }
+    }
+
+    /// The threshold-capped DP without the live band: every state below
+    /// `k` is updated on every trial. The oracle the banded DP must match
+    /// bit for bit.
+    fn unbanded_tail(probs: &[f64], k: usize) -> f64 {
+        if k == 0 {
+            return 1.0;
+        }
+        if k > probs.len() {
+            return 0.0;
+        }
+        let mut f = vec![0.0f64; k + 1];
+        f[0] = 1.0;
+        let mut hi = 0usize;
+        for &p in probs {
+            let q = 1.0 - p;
+            if hi >= k - 1 {
+                f[k] += f[k - 1] * p;
+            }
+            let top = (hi + 1).min(k - 1);
+            for j in (1..=top).rev() {
+                f[j] = f[j] * q + f[j - 1] * p;
+            }
+            f[0] *= q;
+            if hi < k {
+                hi += 1;
+            }
+        }
+        crate::clamp_prob(f[k])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The banded DP is bit-identical to the unbanded one for every
+        /// threshold, on probability vectors holding exact 0s and 1s,
+        /// through a scratch buffer longer than `k + 1` full of stale
+        /// values.
+        #[test]
+        fn banded_tail_is_bit_identical_to_unbanded(
+            seed in 0u64..u64::MAX,
+            n in 0usize..=48,
+        ) {
+            use rand::rngs::SmallRng;
+            use rand::{RngExt, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let probs: Vec<f64> = (0..n)
+                .map(|_| match rng.random_range(0..8u32) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.random::<f64>(),
+                })
+                .collect();
+            let mut scratch: Vec<f64> =
+                (0..n + 8).map(|_| rng.random::<f64>() * 3.0 - 1.0).collect();
+            for k in 1..=n + 1 {
+                let banded = tail_at_least_with(&probs, k, &mut scratch);
+                prop_assert_eq!(
+                    banded.to_bits(),
+                    unbanded_tail(&probs, k).to_bits(),
+                    "n={} k={}", n, k
+                );
+                // Leave stale, nonzero values behind for the next `k`.
+                for v in scratch.iter_mut() {
+                    *v += 0.25;
+                }
+            }
         }
     }
 

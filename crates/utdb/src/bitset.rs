@@ -242,16 +242,24 @@ impl TidBitmap {
     }
 
     /// `|self ∩ other|` without allocating (fused AND + popcount).
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched universes.
     #[inline]
     pub fn and_count(&self, other: &Self) -> usize {
-        debug_assert_eq!(self.universe, other.universe);
+        assert_eq!(self.universe, other.universe, "universe mismatch");
         zip_words_count(&self.words, &other.words, |a, b| a & b)
     }
 
     /// `|self \ other|` without allocating (fused ANDNOT + popcount).
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched universes.
     #[inline]
     pub fn and_not_count(&self, other: &Self) -> usize {
-        debug_assert_eq!(self.universe, other.universe);
+        assert_eq!(self.universe, other.universe, "universe mismatch");
         zip_words_count(&self.words, &other.words, |a, b| a & !b)
     }
 
@@ -509,6 +517,20 @@ mod tests {
     fn and_assign_mismatch_panics() {
         let mut a = TidBitmap::new(5);
         a.and_assign(&TidBitmap::new(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "universe mismatch")]
+    fn and_count_mismatch_panics() {
+        // One word against four: a word-zip would silently count only
+        // the first word.
+        TidBitmap::full(64).and_count(&TidBitmap::full(200));
+    }
+
+    #[test]
+    #[should_panic(expected = "universe mismatch")]
+    fn and_not_count_mismatch_panics() {
+        TidBitmap::full(200).and_not_count(&TidBitmap::new(64));
     }
 
     #[test]

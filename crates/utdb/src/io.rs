@@ -10,6 +10,8 @@
 //! 2 3 : 0.45
 //! 1 2 3
 //! ```
+//!
+//! Item ids are dense indices no larger than [`MAX_ITEM_ID`].
 
 use std::fmt::Write as _;
 use std::fs;
@@ -17,7 +19,7 @@ use std::io;
 use std::path::Path;
 
 use crate::database::UncertainDatabase;
-use crate::item::{Item, ItemDictionary};
+use crate::item::{Item, ItemDictionary, MAX_ITEM_ID};
 use crate::transaction::UncertainTransaction;
 
 /// Errors raised when parsing a `.dat` file.
@@ -53,6 +55,18 @@ impl From<io::Error> for ParseError {
     }
 }
 
+/// Parse one item-id token: a decimal integer no larger than
+/// [`MAX_ITEM_ID`]. The error describes the token, without a position.
+pub fn parse_item_id(token: &str) -> Result<u32, String> {
+    let id: u32 = token
+        .parse()
+        .map_err(|_| format!("invalid item id {token:?}"))?;
+    if id > MAX_ITEM_ID {
+        return Err(format!("item id {id} above the maximum {MAX_ITEM_ID}"));
+    }
+    Ok(id)
+}
+
 /// Parse a database from `.dat` text.
 ///
 /// # Examples
@@ -77,9 +91,9 @@ pub fn parse_dat(text: &str) -> Result<UncertainDatabase, ParseError> {
         };
         let mut items = Vec::new();
         for token in items_part.split_whitespace() {
-            let id: u32 = token.parse().map_err(|_| ParseError::Malformed {
+            let id = parse_item_id(token).map_err(|reason| ParseError::Malformed {
                 line: line_no,
-                reason: format!("invalid item id {token:?}"),
+                reason,
             })?;
             items.push(Item(id));
         }
@@ -176,6 +190,17 @@ mod tests {
             matches!(err, ParseError::Malformed { line: 1, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn rejects_item_ids_above_the_maximum() {
+        let text = format!("1 2\n3 {} : 0.5\n", u64::from(MAX_ITEM_ID) + 1);
+        let err = parse_dat(&text).unwrap_err();
+        assert!(
+            matches!(err, ParseError::Malformed { line: 2, .. }),
+            "{err}"
+        );
+        assert!(parse_dat("4000000000\n").is_err());
     }
 
     #[test]

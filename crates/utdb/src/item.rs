@@ -9,6 +9,15 @@
 use std::collections::HashMap;
 use std::fmt;
 
+/// The largest item id the `.dat` and stream readers accept.
+///
+/// Ids are dense indices, not labels: a database holds one tid-set for
+/// every id up to the largest one it contains, so a single huge id costs
+/// memory and time in proportion to the id itself. Datasets with sparse
+/// or larger ids must be renumbered first (or read through an
+/// [`ItemDictionary`]).
+pub const MAX_ITEM_ID: u32 = (1 << 20) - 1;
+
 /// A dense item identifier.
 ///
 /// Ordering of `Item`s is the total order all prefix-based enumeration in

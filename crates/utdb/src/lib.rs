@@ -43,7 +43,7 @@ pub mod worlds;
 pub use bitset::TidBitmap;
 pub use database::{DatabaseStats, UncertainDatabase};
 pub use gaussian::{assign_gaussian_probabilities, assign_uniform_probabilities};
-pub use item::{Item, ItemDictionary};
+pub use item::{Item, ItemDictionary, MAX_ITEM_ID};
 pub use tidset::TidSet;
 pub use transaction::UncertainTransaction;
 pub use window::SlidingWindow;

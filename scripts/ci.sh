@@ -27,6 +27,9 @@ run env PFCIM_TEST_THREADS=1,4 cargo test --workspace -q
 # database than the default in-test size exercises.
 run env PFCIM_SWEEP_ROWS=200 cargo test --release -q -p pfcim --test dp_tol_sweep
 run cargo test -p pfcim-core --features track-alloc -q
+# The golden tests pin output bit for bit; hold them in the release
+# profile too, the one the benchmark measures.
+run cargo test --release -q --test exact_golden --test sampled_golden
 run cargo check --benches --workspace
 # The benchmark is a workspace of its own, so the checks above never
 # compile it: build it against the library so an API change cannot

@@ -625,11 +625,7 @@ fn parse_stream_line(line: &str) -> Result<Option<(Vec<u32>, f64)>, String> {
         if token.is_empty() {
             continue;
         }
-        items.push(
-            token
-                .parse::<u32>()
-                .map_err(|_| format!("invalid item id {token:?}"))?,
-        );
+        items.push(io::parse_item_id(token)?);
     }
     if items.is_empty() {
         return Err("empty itemset".into());

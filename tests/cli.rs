@@ -186,3 +186,57 @@ fn stream_rejects_out_of_range_parameters_like_batch() {
         assert_rejected(&args, message);
     }
 }
+
+/// Assert a malformed-input error: exit code 1, a line-numbered message
+/// on stderr, and no panic.
+fn assert_malformed(out: std::process::Output, message: &str) {
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains(message), "{stderr}");
+}
+
+#[test]
+fn huge_item_ids_are_malformed_input() {
+    let huge = u64::from(pfcim::utdb::MAX_ITEM_ID) + 1;
+    let path = std::env::temp_dir().join(format!(
+        "pfcim_cli_huge_item_ids_are_malformed_input_{}.dat",
+        std::process::id()
+    ));
+    std::fs::write(
+        &path,
+        format!("1 2 : 0.5\n4000000000 : 0.5\n{huge} : 0.5\n"),
+    )
+    .unwrap();
+    let out = bin()
+        .args([path.to_str().unwrap(), "--min-sup", "1"])
+        .output()
+        .unwrap();
+    assert_malformed(out, "line 2: item id 4000000000 above the maximum");
+    std::fs::write(&path, format!("1 2 : 0.5\n{huge} : 0.5\n")).unwrap();
+    let out = bin()
+        .args([path.to_str().unwrap(), "--min-sup", "1"])
+        .output()
+        .unwrap();
+    assert_malformed(out, &format!("line 2: item id {huge} above the maximum"));
+    std::fs::remove_file(&path).ok();
+
+    for id in [4_000_000_000u64, huge] {
+        let mut child = bin()
+            .args(["stream", "-", "--window", "4", "--min-sup", "1"])
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let feed = format!("{{\"items\":[1,2],\"p\":0.5}}\n{{\"items\":[{id}],\"p\":0.5}}\n");
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(feed.as_bytes())
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert_malformed(out, &format!("line 2: item id {id} above the maximum"));
+    }
+}
