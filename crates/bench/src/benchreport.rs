@@ -1,5 +1,5 @@
 //! Versioned benchmark reports (`BENCH_<label>.json`): schema,
-//! serialization, an in-tree JSON parser for validation, and the
+//! serialization, validation, and the
 //! regression comparator behind `bench-report --baseline/--compare`.
 //!
 //! A report captures one run of the dataset × algorithm matrix
@@ -9,12 +9,14 @@
 //! numbers (RSS high-water from `/proc/self/status`, plus allocator
 //! counters when built with the `track-alloc` feature). Reports are
 //! plain JSON so they diff and archive well; [`BenchReport::from_json`]
-//! re-parses and schema-checks them with no external dependencies, which
-//! is what `scripts/ci.sh` runs against every emitted file.
+//! re-parses them with the workspace's one reader ([`pfcim_core::json`])
+//! and schema-checks them, which is what `scripts/ci.sh` runs against
+//! every emitted and every committed file.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use pfcim_core::json::{self, Value};
 use pfcim_core::HistogramSummary;
 
 /// Schema version stamped into every report. Version 2 added the
@@ -52,288 +54,6 @@ pub const MIN_SCHEMA_VERSION: u64 = 1;
 /// Cells faster than this, or slowdowns smaller than this, never count
 /// as regressions — sub-5ms timings are dominated by noise.
 pub const NOISE_FLOOR_S: f64 = 0.005;
-
-// ---------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser (validation only; the
-// writer side is hand-formatted like the rest of the workspace).
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object (key order is not preserved; keys sort).
-    Obj(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// Parse a complete JSON document.
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Member `key` of an object value.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
-                Some(*x as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The value as an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: \uD8xx\uDCxx.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xd800) << 10)
-                                        + (low.wrapping_sub(0xdc00) & 0x3ff);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.ok_or(format!("bad \\u escape near byte {}", self.pos))?);
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (input is a valid &str).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xc0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or("truncated \\u escape")?;
-        let s = std::str::from_utf8(slice).map_err(|_| "bad \\u escape")?;
-        let code = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape")?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("bad number {s:?} at byte {start}"))
-    }
-}
 
 // ---------------------------------------------------------------------
 // Report schema
@@ -465,7 +185,7 @@ impl TelemetryOverhead {
         )
     }
 
-    fn from_json(v: &JsonValue) -> Result<TelemetryOverhead, String> {
+    fn from_json(v: &Value) -> Result<TelemetryOverhead, String> {
         Ok(TelemetryOverhead {
             cell: field_str(v, "cell")?,
             sample_interval_ms: field_u64(v, "sample_interval_ms")?,
@@ -543,7 +263,7 @@ impl ServeBench {
         )
     }
 
-    fn from_json(v: &JsonValue) -> Result<ServeBench, String> {
+    fn from_json(v: &Value) -> Result<ServeBench, String> {
         Ok(ServeBench {
             snapshot: field_str(v, "snapshot")?,
             clients: field_u64(v, "clients")?,
@@ -611,7 +331,7 @@ impl StreamBench {
         )
     }
 
-    fn from_json(v: &JsonValue) -> Result<StreamBench, String> {
+    fn from_json(v: &Value) -> Result<StreamBench, String> {
         Ok(StreamBench {
             window: field_u64(v, "window")?,
             steps: field_u64(v, "steps")?,
@@ -737,7 +457,7 @@ impl BenchReport {
     /// report covers at least two distinct algorithms (the regression
     /// gate is meaningless otherwise).
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let root = JsonValue::parse(text)?;
+        let root = json::parse(text).map_err(|e| e.to_string())?;
         let version = field_u64(&root, "version")?;
         if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
             return Err(format!(
@@ -758,7 +478,7 @@ impl BenchReport {
             telemetry: match root.get("telemetry") {
                 // Optional at every version: pre-v5 documents simply
                 // lack it, and v5 runs may skip the measurement.
-                None | Some(JsonValue::Null) => None,
+                None | Some(Value::Null) => None,
                 Some(v) => {
                     Some(TelemetryOverhead::from_json(v).map_err(|e| format!("telemetry: {e}"))?)
                 }
@@ -766,18 +486,18 @@ impl BenchReport {
             serve: match root.get("serve") {
                 // Optional at every version: pre-v6 documents simply
                 // lack it, and v6 runs may skip the probe.
-                None | Some(JsonValue::Null) => None,
+                None | Some(Value::Null) => None,
                 Some(v) => Some(ServeBench::from_json(v).map_err(|e| format!("serve: {e}"))?),
             },
             stream: match root.get("stream") {
                 // Optional at every version: pre-v7 documents simply
                 // lack it, and v7 runs may skip the walk.
-                None | Some(JsonValue::Null) => None,
+                None | Some(Value::Null) => None,
                 Some(v) => Some(StreamBench::from_json(v).map_err(|e| format!("stream: {e}"))?),
             },
             entries: root
                 .get("entries")
-                .and_then(JsonValue::as_arr)
+                .and_then(Value::as_arr)
                 .ok_or("missing array field \"entries\"")?
                 .iter()
                 .enumerate()
@@ -799,9 +519,9 @@ impl BenchReport {
     }
 }
 
-fn field_u64(v: &JsonValue, name: &str) -> Result<u64, String> {
+fn field_u64(v: &Value, name: &str) -> Result<u64, String> {
     v.get(name)
-        .and_then(JsonValue::as_u64)
+        .and_then(Value::as_u64)
         .ok_or(format!("missing integer field {name:?}"))
 }
 
@@ -809,33 +529,33 @@ fn field_u64(v: &JsonValue, name: &str) -> Result<u64, String> {
 /// fields added after a block's first schema version, so older
 /// documents still parse. A present-but-mistyped field is still an
 /// error.
-fn opt_field_u64(v: &JsonValue, name: &str) -> Result<u64, String> {
+fn opt_field_u64(v: &Value, name: &str) -> Result<u64, String> {
     match v.get(name) {
         None => Ok(0),
         Some(f) => f.as_u64().ok_or(format!("mistyped integer field {name:?}")),
     }
 }
 
-fn field_f64(v: &JsonValue, name: &str) -> Result<f64, String> {
+fn field_f64(v: &Value, name: &str) -> Result<f64, String> {
     v.get(name)
-        .and_then(JsonValue::as_f64)
+        .and_then(Value::as_f64)
         .ok_or(format!("missing number field {name:?}"))
 }
 
-fn field_str(v: &JsonValue, name: &str) -> Result<String, String> {
+fn field_str(v: &Value, name: &str) -> Result<String, String> {
     v.get(name)
-        .and_then(JsonValue::as_str)
+        .and_then(Value::as_str)
         .map(str::to_owned)
         .ok_or(format!("missing string field {name:?}"))
 }
 
-fn field_bool(v: &JsonValue, name: &str) -> Result<bool, String> {
+fn field_bool(v: &Value, name: &str) -> Result<bool, String> {
     v.get(name)
-        .and_then(JsonValue::as_bool)
+        .and_then(Value::as_bool)
         .ok_or(format!("missing bool field {name:?}"))
 }
 
-fn summary_from_json(v: &JsonValue) -> Result<HistogramSummary, String> {
+fn summary_from_json(v: &Value) -> Result<HistogramSummary, String> {
     Ok(HistogramSummary {
         count: field_u64(v, "count")?,
         min: field_f64(v, "min")?,
@@ -849,10 +569,10 @@ fn summary_from_json(v: &JsonValue) -> Result<HistogramSummary, String> {
     })
 }
 
-fn entry_from_json(v: &JsonValue) -> Result<BenchEntry, String> {
+fn entry_from_json(v: &Value) -> Result<BenchEntry, String> {
     let phase_s = v
         .get("phase_s")
-        .and_then(JsonValue::as_obj)
+        .and_then(Value::as_obj)
         .ok_or("missing object field \"phase_s\"")?
         .iter()
         .map(|(k, x)| {
@@ -863,7 +583,7 @@ fn entry_from_json(v: &JsonValue) -> Result<BenchEntry, String> {
         .collect::<Result<BTreeMap<_, _>, _>>()?;
     let prune = v
         .get("prune")
-        .and_then(JsonValue::as_obj)
+        .and_then(Value::as_obj)
         .ok_or("missing object field \"prune\"")?
         .iter()
         .map(|(k, x)| {
@@ -1073,25 +793,6 @@ mod tests {
             serve: None,
             stream: None,
             entries: vec![sample_entry("MPFCI", elapsed_s), sample_entry("Naive", 2.0)],
-        }
-    }
-
-    #[test]
-    fn parser_handles_all_value_kinds() {
-        let v =
-            JsonValue::parse(r#"{"a": [1, -2.5e3, true, false, null], "s": "x\n\"Aé"}"#).unwrap();
-        let arr = v.get("a").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1].as_f64(), Some(-2500.0));
-        assert_eq!(arr[2].as_bool(), Some(true));
-        assert_eq!(arr[4], JsonValue::Null);
-        assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"Aé"));
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "{} x"] {
-            assert!(JsonValue::parse(bad).is_err(), "{bad:?} parsed");
         }
     }
 

@@ -4,8 +4,8 @@
 //! Prometheus text output must pass its own linter, and attaching the
 //! profiler must not change what is mined.
 
-use pfcim_bench::benchreport::JsonValue;
 use pfcim_bench::datasets::{abs_min_sup, BenchDataset, Scale};
+use pfcim_core::json::{self, Value};
 use pfcim_core::{lint_prometheus, HistogramSink, Miner, MinerConfig, NullSink, SpanProfiler, Tee};
 
 fn dataset() -> (pfcim_bench::datasets::BenchDataset, utdb::UncertainDatabase) {
@@ -27,10 +27,10 @@ fn chrome_trace_round_trips_and_spans_nest_per_thread() {
     assert!(outcome.stats.nodes_visited > 0, "the run must do work");
 
     let text = profiler.chrome_trace_json();
-    let doc = JsonValue::parse(&text).expect("chrome trace must be valid JSON");
+    let doc = json::parse(&text).expect("chrome trace must be valid JSON");
     let events = doc
         .get("traceEvents")
-        .and_then(JsonValue::as_arr)
+        .and_then(Value::as_arr)
         .expect("top-level traceEvents array");
     assert!(!events.is_empty());
 
@@ -40,18 +40,18 @@ fn chrome_trace_round_trips_and_spans_nest_per_thread() {
     let mut by_tid: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
     let mut node_spans = 0u64;
     for ev in events {
-        let ph = ev.get("ph").and_then(JsonValue::as_str).expect("ph");
-        let name = ev.get("name").and_then(JsonValue::as_str).expect("name");
-        let tid = ev.get("tid").and_then(JsonValue::as_u64).expect("tid");
-        assert_eq!(ev.get("pid").and_then(JsonValue::as_u64), Some(1));
+        let ph = ev.get("ph").and_then(Value::as_str).expect("ph");
+        let name = ev.get("name").and_then(Value::as_str).expect("name");
+        let tid = ev.get("tid").and_then(Value::as_u64).expect("tid");
+        assert_eq!(ev.get("pid").and_then(Value::as_u64), Some(1));
         match ph {
             "M" => {
                 assert_eq!(name, "thread_name");
                 names.push(tid);
             }
             "X" => {
-                let ts = ev.get("ts").and_then(JsonValue::as_f64).expect("ts");
-                let dur = ev.get("dur").and_then(JsonValue::as_f64).expect("dur");
+                let ts = ev.get("ts").and_then(Value::as_f64).expect("ts");
+                let dur = ev.get("dur").and_then(Value::as_f64).expect("dur");
                 assert!(ts >= 0.0 && dur >= 0.0, "{name}: ts={ts} dur={dur}");
                 if name == "node" {
                     node_spans += 1;
@@ -109,20 +109,20 @@ fn parallel_profile_produces_worker_tracks() {
     let mut profiler = SpanProfiler::new();
     Miner::new(&db).config(cfg).sink(&mut profiler).run();
     let text = profiler.chrome_trace_json();
-    let doc = JsonValue::parse(&text).expect("valid JSON");
-    let events = doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
+    let doc = json::parse(&text).expect("valid JSON");
+    let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
     let worker_named = events.iter().any(|ev| {
-        ev.get("ph").and_then(JsonValue::as_str) == Some("M")
+        ev.get("ph").and_then(Value::as_str) == Some("M")
             && ev
                 .get("args")
                 .and_then(|a| a.get("name"))
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .is_some_and(|n| n.starts_with("worker-"))
     });
     assert!(worker_named, "pool spans must land on named worker tracks");
     let pool_kinds: std::collections::BTreeSet<&str> = events
         .iter()
-        .filter_map(|ev| ev.get("name").and_then(JsonValue::as_str))
+        .filter_map(|ev| ev.get("name").and_then(Value::as_str))
         .filter(|n| matches!(*n, "task" | "steal" | "idle"))
         .collect();
     assert!(

@@ -7,8 +7,8 @@
 
 use std::time::{Duration, Instant};
 
-use pfcim_bench::benchreport::JsonValue;
 use pfcim_bench::datasets::{abs_min_sup, BenchDataset, Scale};
+use pfcim_core::json::{self, Value};
 use pfcim_core::{http_get, lint_prometheus, Miner, MinerConfig, MinerSink, ShardableSink, Tee};
 use pfcim_core::{Telemetry, TelemetryConfig};
 
@@ -68,9 +68,9 @@ fn metrics_and_healthz_scrape_cleanly_during_a_live_run() {
     let mut live_health = None;
     while Instant::now() < deadline {
         let body = get_ok(addr, "/healthz");
-        let doc = JsonValue::parse(&body).expect("healthz must be valid JSON");
-        let nodes = doc.get("nodes").and_then(JsonValue::as_u64).unwrap_or(0);
-        let finished = doc.get("finished").and_then(JsonValue::as_bool);
+        let doc = json::parse(&body).expect("healthz must be valid JSON");
+        let nodes = doc.get("nodes").and_then(Value::as_u64).unwrap_or(0);
+        let finished = doc.get("finished").and_then(Value::as_bool);
         if nodes > 0 && finished == Some(false) {
             live_health = Some(doc);
             break;
@@ -79,11 +79,11 @@ fn metrics_and_healthz_scrape_cleanly_during_a_live_run() {
     }
     let health = live_health.expect("never observed the run in flight via /healthz");
     assert_eq!(
-        health.get("status").and_then(JsonValue::as_str),
+        health.get("status").and_then(Value::as_str),
         Some("ok"),
         "mid-run healthz: {health:?}"
     );
-    assert!(health.get("elapsed_s").and_then(JsonValue::as_f64).unwrap() > 0.0);
+    assert!(health.get("elapsed_s").and_then(Value::as_f64).unwrap() > 0.0);
 
     // The mid-run metrics scrape must lint cleanly and carry the core
     // mining counters.
@@ -103,21 +103,21 @@ fn metrics_and_healthz_scrape_cleanly_during_a_live_run() {
     // After the run: /healthz flips to finished and the flight recorder
     // replays as one valid JSON record per line.
     let body = get_ok(addr, "/healthz");
-    let doc = JsonValue::parse(&body).expect("post-run healthz must be valid JSON");
-    assert_eq!(doc.get("finished").and_then(JsonValue::as_bool), Some(true));
+    let doc = json::parse(&body).expect("post-run healthz must be valid JSON");
+    assert_eq!(doc.get("finished").and_then(Value::as_bool), Some(true));
 
     let flight = get_ok(addr, "/flight");
     let mut samples = 0usize;
     for line in flight.lines() {
-        let rec = JsonValue::parse(line)
-            .unwrap_or_else(|e| panic!("unparseable flight record {line:?}: {e}"));
-        match rec.get("record").and_then(JsonValue::as_str) {
+        let rec =
+            json::parse(line).unwrap_or_else(|e| panic!("unparseable flight record {line:?}: {e}"));
+        match rec.get("record").and_then(Value::as_str) {
             Some("sample") => {
                 samples += 1;
-                assert!(rec.get("nodes").and_then(JsonValue::as_u64).is_some());
+                assert!(rec.get("nodes").and_then(Value::as_u64).is_some());
             }
             Some("event") => {
-                assert!(rec.get("kind").and_then(JsonValue::as_str).is_some());
+                assert!(rec.get("kind").and_then(Value::as_str).is_some());
             }
             other => panic!("flight record with unknown type {other:?}: {line}"),
         }
@@ -131,11 +131,11 @@ fn metrics_and_healthz_scrape_cleanly_during_a_live_run() {
     // statistics (run_finished pushes one last sample).
     let last_sample = flight
         .lines()
-        .filter_map(|l| JsonValue::parse(l).ok())
-        .rfind(|r| r.get("record").and_then(JsonValue::as_str) == Some("sample"))
+        .filter_map(|l| json::parse(l).ok())
+        .rfind(|r| r.get("record").and_then(Value::as_str) == Some("sample"))
         .unwrap();
     assert_eq!(
-        last_sample.get("nodes").and_then(JsonValue::as_u64),
+        last_sample.get("nodes").and_then(Value::as_u64),
         Some(outcome.stats.nodes_visited)
     );
 

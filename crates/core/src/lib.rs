@@ -67,6 +67,7 @@ pub mod events;
 pub mod exact;
 pub mod fcp;
 pub mod hardness;
+pub mod json;
 #[cfg(feature = "track-alloc")]
 pub mod memtrack;
 pub mod metrics;

@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use utdb::Item;
 
 use crate::config::MinerConfig;
+use crate::json;
 use crate::result::MiningOutcome;
 use crate::stats::{KernelStats, MinerStats};
 use crate::trace::{
@@ -298,24 +299,6 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping for metric names (which are
-/// code-controlled, but defensively escaped anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A named, mergeable collection of counters, gauges and histograms with
 /// a deterministic (sorted-key) JSON snapshot.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -410,7 +393,7 @@ impl MetricsRegistry {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{v}", json_escape(name));
+            let _ = write!(out, "\"{}\":{v}", json::escape(name));
         }
         out.push_str("},\"gauges\":{");
         first = true;
@@ -419,7 +402,7 @@ impl MetricsRegistry {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{}", json_escape(name), json_f64(*v));
+            let _ = write!(out, "\"{}\":{}", json::escape(name), json_f64(*v));
         }
         out.push_str("},\"histograms\":{");
         first = true;
@@ -428,7 +411,7 @@ impl MetricsRegistry {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{}", json_escape(name), h.summary().to_json());
+            let _ = write!(out, "\"{}\":{}", json::escape(name), h.summary().to_json());
         }
         out.push_str("}}");
         out
@@ -496,6 +479,21 @@ fn prom_f64(x: f64) -> String {
     }
 }
 
+/// Escape a Prometheus label value: `\`, `"` and newline are the three
+/// characters the text format escapes (as `\\`, `\"` and `\n`).
+pub(crate) fn prom_label_value(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 fn valid_prom_name(name: &str) -> bool {
     !name.is_empty()
         && name.chars().enumerate().all(|(i, c)| {
@@ -505,6 +503,47 @@ fn valid_prom_name(name: &str) -> bool {
 
 fn parse_prom_value(v: &str) -> bool {
     matches!(v, "NaN" | "+Inf" | "-Inf") || v.parse::<f64>().is_ok()
+}
+
+/// Walk a sample's label block, starting just past its `{`: comma-
+/// separated `name="value"` pairs (a trailing comma allowed) whose values
+/// use only the `\\`, `\"` and `\n` escapes — so a bare `"` inside a
+/// value ends it early and the pair is rejected. Returns the text after
+/// the closing `}`.
+fn lint_labels(mut block: &str) -> Result<&str, &'static str> {
+    loop {
+        if let Some(rest) = block.strip_prefix('}') {
+            return Ok(rest);
+        }
+        let Some((name, value)) = block.split_once('=') else {
+            return Err("label without '='");
+        };
+        if !valid_prom_name(name) {
+            return Err("bad label name");
+        }
+        let Some(value) = value.strip_prefix('"') else {
+            return Err("unquoted label value");
+        };
+        let mut chars = value.char_indices();
+        let close = loop {
+            match chars.next() {
+                Some((i, '"')) => break i,
+                Some((_, '\\')) => {
+                    if !matches!(chars.next(), Some((_, '\\' | '"' | 'n'))) {
+                        return Err("bad escape in label value");
+                    }
+                }
+                Some(_) => {}
+                None => return Err("unterminated label value"),
+            }
+        };
+        block = &value[close + 1..];
+        if let Some(rest) = block.strip_prefix(',') {
+            block = rest;
+        } else if !block.starts_with('}') {
+            return Err("label value not followed by ',' or '}'");
+        }
+    }
 }
 
 /// A minimal linter for the Prometheus text exposition format — enough
@@ -552,24 +591,10 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
         }
         // Sample line: name[{labels}] value
         let (name_part, rest) = match line.find('{') {
-            Some(open) => {
-                let Some(close) = line[open..].find('}') else {
-                    return fail(n, "unterminated label block", line);
-                };
-                let labels = &line[open + 1..open + close];
-                for pair in labels.split(',').filter(|p| !p.is_empty()) {
-                    let Some((k, v)) = pair.split_once('=') else {
-                        return fail(n, "label without '='", line);
-                    };
-                    if !valid_prom_name(k) {
-                        return fail(n, "bad label name", line);
-                    }
-                    if !(v.len() >= 2 && v.starts_with('"') && v.ends_with('"')) {
-                        return fail(n, "unquoted label value", line);
-                    }
-                }
-                (&line[..open], &line[open + close + 1..])
-            }
+            Some(open) => match lint_labels(&line[open + 1..]) {
+                Ok(rest) => (&line[..open], rest),
+                Err(what) => return fail(n, what, line),
+            },
             None => match line.split_once(' ') {
                 Some((name, rest)) => (name, rest),
                 None => return fail(n, "sample without value", line),
@@ -1024,10 +1049,22 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_is_safe() {
-        assert_eq!(json_escape("plain_name"), "plain_name");
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn label_values_are_escaped_and_linted() {
+        assert_eq!(prom_label_value("smoke"), "smoke");
+        assert_eq!(prom_label_value("q\"x\\y\nz"), "q\\\"x\\\\y\\nz");
+        let sample = |value: &str| format!("# TYPE m counter\nm{{snapshot=\"{value}\"}} 0\n");
+        for name in ["smoke", "q\"x", "a\\b", "two\nlines", "x,y}z", "\"", "\\"] {
+            let text = sample(&prom_label_value(name));
+            lint_prometheus(&text).unwrap_or_else(|e| panic!("{name:?}: {e}"));
+        }
+        // Unescaped, the same values break the exposition format.
+        for raw in ["q\"x", "\"", "a\\b", "bad\\t"] {
+            assert!(lint_prometheus(&sample(raw)).is_err(), "{raw:?} linted");
+        }
+        assert!(lint_prometheus("m{a=\"1\",b=\"2\",} 1\n").is_ok());
+        assert!(lint_prometheus("m{} 1\n").is_ok());
+        assert!(lint_prometheus("m{a=\"1\"b=\"2\"} 1\n").is_err());
+        assert!(lint_prometheus("m{a=\"1\n").is_err());
     }
 
     #[test]

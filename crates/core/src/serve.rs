@@ -58,14 +58,15 @@
 //! set `"carved": true`.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::config::{FcpMethod, MinerConfig};
-use crate::metrics::lint_prometheus;
+use crate::json::{self, Value};
+use crate::metrics::prom_label_value;
 use crate::miner::Algorithm;
 use crate::result::MiningOutcome;
 use crate::snapshot::Snapshot;
@@ -157,147 +158,6 @@ impl Semaphore {
 }
 
 // ---------------------------------------------------------------------
-// Flat JSON (requests are one flat object; std-only parser)
-// ---------------------------------------------------------------------
-
-/// A scalar value in a flat JSON request object.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-/// Parse one *flat* JSON object (string/number/bool/null values only —
-/// requests never nest). Returns `(key, value)` pairs in input order.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let mut chars = text.char_indices().peekable();
-    let mut pairs = Vec::new();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>| {
-        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    };
-    let parse_string =
-        |chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>| -> Result<String, String> {
-            match chars.next() {
-                Some((_, '"')) => {}
-                other => return Err(format!("expected string, found {other:?}")),
-            }
-            let mut s = String::new();
-            loop {
-                match chars.next() {
-                    Some((_, '"')) => return Ok(s),
-                    Some((_, '\\')) => match chars.next() {
-                        Some((_, '"')) => s.push('"'),
-                        Some((_, '\\')) => s.push('\\'),
-                        Some((_, '/')) => s.push('/'),
-                        Some((_, 'n')) => s.push('\n'),
-                        Some((_, 't')) => s.push('\t'),
-                        Some((_, 'r')) => s.push('\r'),
-                        Some((_, c)) => return Err(format!("unsupported escape \\{c}")),
-                        None => return Err("unterminated escape".into()),
-                    },
-                    Some((_, c)) => s.push(c),
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        };
-    skip_ws(&mut chars);
-    match chars.next() {
-        Some((_, '{')) => {}
-        other => return Err(format!("expected '{{', found {other:?}")),
-    }
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        chars.next();
-        return Ok(pairs);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ':')) => {}
-            other => return Err(format!("expected ':', found {other:?}")),
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek().copied() {
-            Some((_, '"')) => Scalar::Str(parse_string(&mut chars)?),
-            Some((start, c)) if c == '-' || c.is_ascii_digit() => {
-                let mut end = start;
-                while let Some(&(i, c)) = chars.peek() {
-                    if c == '-'
-                        || c == '+'
-                        || c == '.'
-                        || c == 'e'
-                        || c == 'E'
-                        || c.is_ascii_digit()
-                    {
-                        end = i + c.len_utf8();
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let raw = &text[start..end];
-                Scalar::Num(
-                    raw.parse::<f64>()
-                        .map_err(|e| format!("bad number {raw:?}: {e}"))?,
-                )
-            }
-            Some((start, c)) if c.is_ascii_alphabetic() => {
-                let mut end = start;
-                while let Some(&(i, c)) = chars.peek() {
-                    if c.is_ascii_alphabetic() {
-                        end = i + c.len_utf8();
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                match &text[start..end] {
-                    "true" => Scalar::Bool(true),
-                    "false" => Scalar::Bool(false),
-                    "null" => Scalar::Null,
-                    other => return Err(format!("unexpected literal {other:?}")),
-                }
-            }
-            other => {
-                return Err(format!(
-                    "unsupported value start {other:?} (flat objects only)"
-                ))
-            }
-        };
-        pairs.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    Ok(pairs)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------
 
@@ -354,77 +214,55 @@ struct QueryRequest {
 
 impl QueryRequest {
     fn parse(body: &str) -> Result<Self, String> {
-        let pairs = parse_flat_object(body)?;
+        let request = json::parse(body).map_err(|e| e.to_string())?;
+        let fields = request.as_obj().ok_or("a request must be a JSON object")?;
         let mut snapshot = None;
         let mut min_sup = None;
         let mut pfct = None;
         let mut config = MinerConfig::new(1, 0.5);
         let mut algorithm = Algorithm::Dfs;
         let mut deadline_ms = None;
-        let num = |v: &Scalar, key: &str| match v {
-            Scalar::Num(n) => Ok(*n),
-            other => Err(format!("{key} must be a number, got {other:?}")),
+        let num =
+            |key: &str, v: &Value| v.as_f64().ok_or_else(|| format!("{key} must be a number"));
+        let int = |key: &str, v: &Value| {
+            v.as_u64()
+                .ok_or_else(|| format!("{key} must be an integer in 0..={}", u64::MAX))
         };
-        for (key, value) in &pairs {
+        let size = |key: &str, v: &Value| {
+            usize::try_from(int(key, v)?).map_err(|_| format!("{key} exceeds usize::MAX"))
+        };
+        let text = |key: &str, v: &Value| {
+            v.as_str()
+                .map(str::to_owned)
+                .ok_or_else(|| format!("{key} must be a string"))
+        };
+        for (key, value) in fields {
             match key.as_str() {
-                "snapshot" => match value {
-                    Scalar::Str(s) => snapshot = Some(s.clone()),
-                    other => return Err(format!("snapshot must be a string, got {other:?}")),
-                },
-                "min_sup" => {
-                    let n = num(value, key)?;
-                    if n < 1.0 || n.fract() != 0.0 {
-                        return Err("min_sup must be a positive integer".into());
+                "snapshot" => snapshot = Some(text(key, value)?),
+                "min_sup" => min_sup = Some(size(key, value)?),
+                "pfct" => pfct = Some(num(key, value)?),
+                "epsilon" => config.epsilon = num(key, value)?,
+                "delta" => config.delta = num(key, value)?,
+                "threads" => config.threads = size(key, value)?,
+                "seed" => config.seed = int(key, value)?,
+                "deadline_ms" => deadline_ms = Some(int(key, value)?),
+                "algorithm" => {
+                    algorithm = match text(key, value)?.as_str() {
+                        "dfs" => Algorithm::Dfs,
+                        "bfs" => Algorithm::Bfs,
+                        "naive" => Algorithm::Naive,
+                        other => return Err(format!("unknown algorithm {other:?}")),
                     }
-                    min_sup = Some(n as usize);
                 }
-                "pfct" => pfct = Some(num(value, key)?),
-                "epsilon" => config.epsilon = num(value, key)?,
-                "delta" => config.delta = num(value, key)?,
-                "threads" => {
-                    let t = num(value, key)?;
-                    if t < 0.0 || t.fract() != 0.0 {
-                        return Err("threads must be a non-negative integer".into());
+                "fcp_method" => {
+                    config.fcp_method = match text(key, value)?.as_str() {
+                        "auto" => FcpMethod::default(),
+                        "exact" => FcpMethod::ExactOnly,
+                        "approx" => FcpMethod::ApproxOnly,
+                        "adaptive" => FcpMethod::ApproxAdaptive,
+                        other => return Err(format!("unknown fcp_method {other:?}")),
                     }
-                    config.threads = t as usize;
                 }
-                "seed" => {
-                    let s = num(value, key)?;
-                    if s < 0.0 || s.fract() != 0.0 {
-                        return Err("seed must be a non-negative integer".into());
-                    }
-                    config.seed = s as u64;
-                }
-                "deadline_ms" => {
-                    let d = num(value, key)?;
-                    if d < 0.0 || d.fract() != 0.0 {
-                        return Err("deadline_ms must be a non-negative integer".into());
-                    }
-                    deadline_ms = Some(d as u64);
-                }
-                "algorithm" => match value {
-                    Scalar::Str(s) => {
-                        algorithm = match s.as_str() {
-                            "dfs" => Algorithm::Dfs,
-                            "bfs" => Algorithm::Bfs,
-                            "naive" => Algorithm::Naive,
-                            other => return Err(format!("unknown algorithm {other:?}")),
-                        }
-                    }
-                    other => return Err(format!("algorithm must be a string, got {other:?}")),
-                },
-                "fcp_method" => match value {
-                    Scalar::Str(s) => {
-                        config.fcp_method = match s.as_str() {
-                            "auto" => FcpMethod::default(),
-                            "exact" => FcpMethod::ExactOnly,
-                            "approx" => FcpMethod::ApproxOnly,
-                            "adaptive" => FcpMethod::ApproxAdaptive,
-                            other => return Err(format!("unknown fcp_method {other:?}")),
-                        }
-                    }
-                    other => return Err(format!("fcp_method must be a string, got {other:?}")),
-                },
                 other => return Err(format!("unknown request key {other:?}")),
             }
         }
@@ -684,7 +522,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<ServerInner>) {
     }
 }
 
-fn handle_connection(stream: TcpStream, inner: &Arc<ServerInner>) -> io::Result<()> {
+fn handle_connection(mut stream: TcpStream, inner: &Arc<ServerInner>) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     // Peek the first byte to pick the dialect: frames start with an
     // ASCII digit (the length line), HTTP verbs never do.
@@ -696,7 +534,11 @@ fn handle_connection(stream: TcpStream, inner: &Arc<ServerInner>) -> io::Result<
     if first[0].is_ascii_digit() {
         handle_query_connection(stream, inner)
     } else {
-        handle_http_connection(stream, inner)
+        inner.telemetry.respond_http(
+            &mut stream,
+            || serve_metrics_text(inner),
+            "pfcim serve: framed queries + /metrics /healthz /flight\n",
+        )
     }
 }
 
@@ -710,7 +552,10 @@ fn handle_query_connection(stream: TcpStream, inner: &Arc<ServerInner>) -> io::R
             Ok(request) => answer_query(&request, inner),
             Err(e) => {
                 inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                format!("{{\"status\":\"error\",\"error\":\"{}\"}}", json_escape(&e))
+                format!(
+                    "{{\"status\":\"error\",\"error\":\"{}\"}}",
+                    json::escape(&e)
+                )
             }
         };
         write_frame(&mut writer, &response)?;
@@ -739,7 +584,7 @@ fn answer_query(request: &QueryRequest, inner: &Arc<ServerInner>) -> String {
         inner.counters.errors.fetch_add(1, Ordering::Relaxed);
         return format!(
             "{{\"status\":\"error\",\"error\":\"unknown snapshot {}\"}}",
-            json_escape(&request.snapshot)
+            json::escape(&request.snapshot)
         );
     };
     let snapshot = &snapshot;
@@ -747,7 +592,8 @@ fn answer_query(request: &QueryRequest, inner: &Arc<ServerInner>) -> String {
         .deadline_ms
         .map(Duration::from_millis)
         .or(inner.cfg.default_deadline);
-    let deadline = deadline_ms.map(|d| start + d);
+    // A deadline past the end of `Instant`'s range never arrives.
+    let deadline = deadline_ms.and_then(|d| start.checked_add(d));
 
     let deadline_response = |inner: &ServerInner| {
         inner
@@ -757,7 +603,7 @@ fn answer_query(request: &QueryRequest, inner: &Arc<ServerInner>) -> String {
         format!(
             "{{\"status\":\"deadline_exceeded\",\"snapshot\":\"{}\",\"queued\":true,\
              \"results\":[],\"elapsed_s\":{:.6}}}",
-            json_escape(snapshot.name()),
+            json::escape(snapshot.name()),
             start.elapsed().as_secs_f64()
         )
     };
@@ -854,7 +700,7 @@ fn render_response(
     out.push_str(&format!(
         "{{\"status\":\"{status}\",\"snapshot\":\"{}\",\"carved\":{carved},\
          \"timed_out\":{},\"elapsed_s\":{:.6},\"results\":[",
-        json_escape(snapshot.name()),
+        json::escape(snapshot.name()),
         outcome.timed_out,
         elapsed.as_secs_f64(),
     ));
@@ -958,7 +804,7 @@ fn serve_metrics_text(inner: &ServerInner) -> String {
     for (name, snap) in snapshots.iter() {
         text.push_str(&format!(
             "pfcim_serve_snapshot_cache_hits_total{{snapshot=\"{}\"}} {}\n",
-            name,
+            prom_label_value(name),
             snap.cache().hits()
         ));
     }
@@ -966,7 +812,7 @@ fn serve_metrics_text(inner: &ServerInner) -> String {
     for (name, snap) in snapshots.iter() {
         text.push_str(&format!(
             "pfcim_serve_snapshot_cache_misses_total{{snapshot=\"{}\"}} {}\n",
-            name,
+            prom_label_value(name),
             snap.cache().misses()
         ));
     }
@@ -974,62 +820,11 @@ fn serve_metrics_text(inner: &ServerInner) -> String {
     for (name, snap) in snapshots.iter() {
         text.push_str(&format!(
             "pfcim_serve_snapshot_cache_contended_total{{snapshot=\"{}\"}} {}\n",
-            name,
+            prom_label_value(name),
             snap.cache().contended()
         ));
     }
     text
-}
-
-fn handle_http_connection(mut stream: TcpStream, inner: &Arc<ServerInner>) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, content_type, body) = if method != "GET" {
-        (405, "text/plain", "method not allowed\n".to_owned())
-    } else {
-        match path {
-            "/metrics" => {
-                let text = serve_metrics_text(inner);
-                match lint_prometheus(&text) {
-                    Ok(()) => (200, "text/plain; version=0.0.4", text),
-                    Err(e) => (500, "text/plain", format!("exporter lint failure: {e}\n")),
-                }
-            }
-            "/healthz" => (200, "application/json", inner.telemetry.healthz_json()),
-            "/flight" => (200, "application/x-ndjson", inner.telemetry.flight_jsonl()),
-            "/" => (
-                200,
-                "text/plain",
-                "pfcim serve: framed queries + /metrics /healthz /flight\n".to_owned(),
-            ),
-            _ => (404, "text/plain", "not found\n".to_owned()),
-        }
-    };
-    let reason = match status {
-        200 => "OK",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        _ => "Internal Server Error",
-    };
-    let response = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
 }
 
 // ---------------------------------------------------------------------
@@ -1080,6 +875,7 @@ pub fn query_once(addr: &str, body: &str, timeout: Duration) -> io::Result<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::lint_prometheus;
     use utdb::UncertainDatabase;
 
     fn table4() -> UncertainDatabase {
@@ -1113,16 +909,44 @@ mod tests {
     }
 
     #[test]
-    fn parse_flat_object_handles_scalars() {
-        let pairs =
-            parse_flat_object(r#"{"s": "x\"y", "n": -1.5e2, "b": true, "z": null}"#).unwrap();
-        assert_eq!(pairs[0], ("s".into(), Scalar::Str("x\"y".into())));
-        assert_eq!(pairs[1], ("n".into(), Scalar::Num(-150.0)));
-        assert_eq!(pairs[2], ("b".into(), Scalar::Bool(true)));
-        assert_eq!(pairs[3], ("z".into(), Scalar::Null));
-        assert!(parse_flat_object(r#"{"nested": {"x": 1}}"#).is_err());
-        assert!(parse_flat_object("[1]").is_err());
-        assert!(parse_flat_object("{}").unwrap().is_empty());
+    fn query_request_reads_every_json_spelling() {
+        // Strings unescape; integers may be spelled as any integral JSON
+        // number, and digit-only integers are exact up to u64::MAX.
+        let req = QueryRequest::parse(
+            r#" {"snapshot": "x\"y\u00e9", "min_sup": 2e0, "pfct": 6e-1,
+                 "threads": 1.0, "seed": 9007199254740993,
+                 "deadline_ms": 18446744073709551615} "#,
+        )
+        .unwrap();
+        assert_eq!(req.snapshot, "x\"yé");
+        assert_eq!(req.config.min_sup, 2);
+        assert_eq!(req.config.pfct, 0.6);
+        assert_eq!(req.config.threads, 1);
+        assert_eq!(req.config.seed, (1 << 53) + 1);
+        assert_eq!(req.deadline_ms, Some(u64::MAX));
+        let base = r#""snapshot":"t4","min_sup":2,"pfct":0.6"#;
+        for bad in [
+            // Above u64::MAX: a typed error, never a saturated value.
+            format!("{{{base},\"seed\":18446744073709551616}}"),
+            format!("{{{base},\"threads\":18446744073709551616}}"),
+            format!("{{{base},\"deadline_ms\":18446744073709551616}}"),
+            r#"{"snapshot":"t4","min_sup":18446744073709551616,"pfct":0.6}"#.into(),
+            // Not a non-negative integer, or not a number at all.
+            format!("{{{base},\"seed\":-1}}"),
+            format!("{{{base},\"seed\":1.5}}"),
+            format!("{{{base},\"seed\":1e300}}"),
+            format!("{{{base},\"seed\":null}}"),
+            format!("{{{base},\"seed\":\"7\"}}"),
+            format!("{{{base},\"pfct\":true}}"),
+            // Nested values, other roots, duplicate keys, broken syntax.
+            r#"{"snapshot":{"x":1},"min_sup":2,"pfct":0.6}"#.into(),
+            "[1]".into(),
+            format!("{{{base},\"pfct\":0.7}}"),
+            format!("{{{base} \"seed\":1}}"),
+            "{}".into(),
+        ] {
+            assert!(QueryRequest::parse(&bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]
@@ -1276,6 +1100,49 @@ mod tests {
         let (status, _) =
             crate::telemetry::http_get(&addr, "/nope", Duration::from_secs(5)).unwrap();
         assert_eq!(status, 404);
+        server.shutdown();
+    }
+
+    #[test]
+    fn snapshot_names_are_escaped_in_responses_and_metrics() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            vec![Snapshot::new("q\"x", table4())],
+            ServeConfig::default(),
+        )
+        .expect("bind");
+        let addr = server.local_addr().to_string();
+        let resp = query_once(
+            &addr,
+            r#"{"snapshot":"q\"x","min_sup":2,"pfct":0.6}"#,
+            Duration::from_secs(5),
+        )
+        .unwrap();
+        let doc = json::parse(&resp).expect("response must be valid JSON");
+        assert_eq!(doc.get("status").and_then(Value::as_str), Some("ok"));
+        assert_eq!(doc.get("snapshot").and_then(Value::as_str), Some("q\"x"));
+        let (status, body) =
+            crate::telemetry::http_get(&addr, "/metrics", Duration::from_secs(5)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        lint_prometheus(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+        assert!(
+            body.contains("pfcim_serve_snapshot_cache_hits_total{snapshot=\"q\\\"x\"} "),
+            "{body}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn far_deadlines_never_overflow() {
+        let server = start_server();
+        let addr = server.local_addr().to_string();
+        let resp = query_once(
+            &addr,
+            r#"{"snapshot":"t4","min_sup":2,"pfct":0.6,"deadline_ms":18446744073709551615}"#,
+            Duration::from_secs(5),
+        )
+        .unwrap();
+        assert_eq!(get(&resp, "status").as_deref(), Some("ok"), "{resp}");
         server.shutdown();
     }
 

@@ -1024,6 +1024,25 @@ impl Telemetry {
         self.flight.to_jsonl()
     }
 
+    /// Answer one HTTP request on `stream` from this session
+    /// ([`respond_http`]), with a caller-supplied `/metrics` body and `/`
+    /// banner.
+    pub(crate) fn respond_http(
+        &self,
+        stream: &mut TcpStream,
+        metrics: impl FnOnce() -> String,
+        banner: &str,
+    ) -> std::io::Result<()> {
+        respond_http(
+            stream,
+            &self.state,
+            &self.flight,
+            self.config.stall_threshold,
+            metrics,
+            banner,
+        )
+    }
+
     /// Stop and join the sampler and HTTP threads. Also runs on drop;
     /// calling it explicitly just makes shutdown visible in the code.
     pub fn shutdown(mut self) {
@@ -1081,7 +1100,14 @@ fn serve_loop(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((mut stream, _)) => {
-                let _ = handle_connection(&mut stream, state, flight, stall_threshold);
+                let _ = respond_http(
+                    &mut stream,
+                    state,
+                    flight,
+                    stall_threshold,
+                    || state.registry().to_prometheus("pfcim"),
+                    "pfcim telemetry: /metrics /healthz /flight\n",
+                );
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -1091,17 +1117,24 @@ fn serve_loop(
     }
 }
 
-fn handle_connection(
+/// Answer one HTTP/1.1 request with the telemetry routes — the one
+/// responder behind both [`Telemetry::serve`] and the `pfcim serve`
+/// listener. `GET /metrics` serves the `metrics` body after linting it
+/// (serving malformed exposition text is a bug, and a 500 makes it
+/// loud), `/healthz` and `/flight` come from the session, `/` serves
+/// `banner`; other paths get 404 and other methods 405. The request head
+/// is read under an 8 KiB cap and 2 s timeouts; any body is ignored.
+pub(crate) fn respond_http(
     stream: &mut TcpStream,
     state: &TelemetryState,
     flight: &FlightRecorder,
     stall_threshold: Duration,
+    metrics: impl FnOnce() -> String,
+    banner: &str,
 ) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    // Read until the end of the request head (we ignore any body; every
-    // endpoint is a GET) with a small cap against garbage input.
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
@@ -1119,9 +1152,7 @@ fn handle_connection(
     } else {
         match path {
             "/metrics" => {
-                let text = state.registry().to_prometheus("pfcim");
-                // The endpoint lints its own output: serving malformed
-                // exposition text is a bug, and a 500 makes it loud.
+                let text = metrics();
                 match lint_prometheus(&text) {
                     Ok(()) => (200, "text/plain; version=0.0.4", text),
                     Err(e) => (500, "text/plain", format!("exporter lint failure: {e}\n")),
@@ -1129,11 +1160,7 @@ fn handle_connection(
             }
             "/healthz" => (200, "application/json", state.healthz_json(stall_threshold)),
             "/flight" => (200, "application/x-ndjson", flight.to_jsonl()),
-            "/" => (
-                200,
-                "text/plain",
-                "pfcim telemetry: /metrics /healthz /flight\n".to_owned(),
-            ),
+            "/" => (200, "text/plain", banner.to_owned()),
             _ => (404, "text/plain", "not found\n".to_owned()),
         }
     };

@@ -63,6 +63,7 @@ use std::time::{Duration, Instant};
 use utdb::Item;
 
 use crate::config::MinerConfig;
+use crate::json::{self, Value};
 use crate::result::{MiningOutcome, PatternDelta};
 use crate::stats::{DpAudit, MinerStats, PhaseTimers};
 
@@ -828,8 +829,15 @@ impl TraceEvent {
             TraceEvent::FreqProb { pr_f } => format!("{{\"ev\":\"freq_prob\",\"pr_f\":{pr_f}}}"),
             TraceEvent::DpDecision { decision } => match decision.magnitude() {
                 Some(m) => format!(
-                    "{{\"ev\":\"dp_decision\",\"reason\":\"{}\",\"magnitude\":{m}}}",
-                    decision.name()
+                    "{{\"ev\":\"dp_decision\",\"reason\":\"{}\",\"magnitude\":{}}}",
+                    decision.name(),
+                    // JSON has no infinity; `1e999` is a valid number that
+                    // reads back as one (an overflowed refusal measurement).
+                    if m == f64::INFINITY {
+                        "1e999".to_owned()
+                    } else {
+                        m.to_string()
+                    }
                 ),
                 None => format!(
                     "{{\"ev\":\"dp_decision\",\"reason\":\"{}\"}}",
@@ -882,74 +890,78 @@ impl TraceEvent {
             line: line.to_string(),
             what: what.to_string(),
         };
-        let ev = str_field(line, "ev").ok_or_else(|| err("missing \"ev\""))?;
+        let event = json::parse(line).map_err(|e| err(&e.to_string()))?;
+        let field = |key: &str| event.get(key);
+        let text = |key: &str| field(key).and_then(Value::as_str).ok_or_else(|| err(key));
+        let float = |key: &str| field(key).and_then(Value::as_f64).ok_or_else(|| err(key));
+        let int = |key: &str| field(key).and_then(Value::as_u64).ok_or_else(|| err(key));
+        let items = || {
+            field("items")
+                .and_then(Value::as_arr)
+                .and_then(|ids| {
+                    ids.iter()
+                        .map(|id| id.as_u64().and_then(|n| u32::try_from(n).ok()))
+                        .collect()
+                })
+                .ok_or_else(|| err("items"))
+        };
+        let ev = field("ev")
+            .and_then(Value::as_str)
+            .ok_or_else(|| err("missing \"ev\""))?;
         match ev {
             "run_start" => Ok(TraceEvent::RunStart {
-                algo: str_field(line, "algo")
-                    .ok_or_else(|| err("algo"))?
-                    .to_string(),
-                min_sup: num_field(line, "min_sup").ok_or_else(|| err("min_sup"))?,
-                pfct: num_field(line, "pfct").ok_or_else(|| err("pfct"))?,
-                epsilon: num_field(line, "epsilon").ok_or_else(|| err("epsilon"))?,
-                delta: num_field(line, "delta").ok_or_else(|| err("delta"))?,
+                algo: text("algo")?.to_string(),
+                min_sup: int("min_sup")?,
+                pfct: float("pfct")?,
+                epsilon: float("epsilon")?,
+                delta: float("delta")?,
             }),
             "node" => Ok(TraceEvent::Node {
-                depth: num_field(line, "depth").ok_or_else(|| err("depth"))?,
+                depth: int("depth")?,
             }),
             "prune" => Ok(TraceEvent::Prune {
-                kind: str_field(line, "kind")
-                    .and_then(PruneKind::from_name)
-                    .ok_or_else(|| err("kind"))?,
+                kind: PruneKind::from_name(text("kind")?).ok_or_else(|| err("kind"))?,
             }),
             "freq_prob" => Ok(TraceEvent::FreqProb {
-                pr_f: num_field(line, "pr_f").ok_or_else(|| err("pr_f"))?,
+                pr_f: float("pr_f")?,
             }),
             "dp_decision" => Ok(TraceEvent::DpDecision {
-                decision: str_field(line, "reason")
-                    .and_then(|r| DpDecision::from_parts(r, num_field(line, "magnitude")))
-                    .ok_or_else(|| err("reason"))?,
+                decision: DpDecision::from_parts(
+                    text("reason")?,
+                    field("magnitude").and_then(Value::as_f64),
+                )
+                .ok_or_else(|| err("reason"))?,
             }),
             "fcp_bounds" => Ok(TraceEvent::FcpBounds {
-                lower: num_field(line, "lower").ok_or_else(|| err("lower"))?,
-                upper: num_field(line, "upper").ok_or_else(|| err("upper"))?,
+                lower: float("lower")?,
+                upper: float("upper")?,
             }),
             "fcp_eval" => Ok(TraceEvent::FcpEval {
-                method: str_field(line, "method")
-                    .and_then(FcpEvalKind::from_name)
-                    .ok_or_else(|| err("method"))?,
-                samples: num_field(line, "samples").ok_or_else(|| err("samples"))?,
+                method: FcpEvalKind::from_name(text("method")?).ok_or_else(|| err("method"))?,
+                samples: int("samples")?,
             }),
             "result" => Ok(TraceEvent::Result {
-                items: items_field(line).ok_or_else(|| err("items"))?,
-                fcp: num_field(line, "fcp").ok_or_else(|| err("fcp"))?,
+                items: items()?,
+                fcp: float("fcp")?,
             }),
             "delta" => Ok(TraceEvent::Delta {
-                kind: str_field(line, "kind")
-                    .and_then(DeltaKind::from_name)
-                    .ok_or_else(|| err("kind"))?,
-                items: items_field(line).ok_or_else(|| err("items"))?,
-                fcp: num_field(line, "fcp").ok_or_else(|| err("fcp"))?,
+                kind: DeltaKind::from_name(text("kind")?).ok_or_else(|| err("kind"))?,
+                items: items()?,
+                fcp: float("fcp")?,
             }),
             "phase_start" => Ok(TraceEvent::PhaseStart {
-                phase: str_field(line, "phase")
-                    .and_then(Phase::from_name)
-                    .ok_or_else(|| err("phase"))?,
+                phase: Phase::from_name(text("phase")?).ok_or_else(|| err("phase"))?,
             }),
             "phase_end" => Ok(TraceEvent::PhaseEnd {
-                phase: str_field(line, "phase")
-                    .and_then(Phase::from_name)
-                    .ok_or_else(|| err("phase"))?,
-                nanos: num_field(line, "nanos").ok_or_else(|| err("nanos"))?,
+                phase: Phase::from_name(text("phase")?).ok_or_else(|| err("phase"))?,
+                nanos: int("nanos")?,
             }),
             "run_end" => Ok(TraceEvent::RunEnd {
-                elapsed_nanos: num_field(line, "elapsed_nanos")
-                    .ok_or_else(|| err("elapsed_nanos"))?,
-                results: num_field(line, "results").ok_or_else(|| err("results"))?,
-                timed_out: match raw_field(line, "timed_out") {
-                    Some("true") => true,
-                    Some("false") => false,
-                    _ => return Err(err("timed_out")),
-                },
+                elapsed_nanos: int("elapsed_nanos")?,
+                results: int("results")?,
+                timed_out: field("timed_out")
+                    .and_then(Value::as_bool)
+                    .ok_or_else(|| err("timed_out"))?,
             }),
             other => Err(err(&format!("unknown ev {other:?}"))),
         }
@@ -980,41 +992,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceParseError> {
         .filter(|l| !l.is_empty())
         .map(TraceEvent::parse)
         .collect()
-}
-
-/// Raw value slice of `"key":<value>` in a flat JSON object — enough for
-/// the trace schema (no nested objects; the only array is `items`, and
-/// the only strings are schema-controlled names without escapes).
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = if let Some(r) = rest.strip_prefix('[') {
-        r.find(']')? + 2
-    } else if let Some(r) = rest.strip_prefix('"') {
-        r.find('"')? + 2
-    } else {
-        rest.find([',', '}'])?
-    };
-    Some(&rest[..end])
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let raw = raw_field(line, key)?;
-    raw.strip_prefix('"')?.strip_suffix('"')
-}
-
-fn num_field<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
-    raw_field(line, key)?.parse().ok()
-}
-
-fn items_field(line: &str) -> Option<Vec<u32>> {
-    let raw = raw_field(line, "items")?;
-    let inner = raw.strip_prefix('[')?.strip_suffix(']')?;
-    if inner.is_empty() {
-        return Some(Vec::new());
-    }
-    inner.split(',').map(|s| s.trim().parse().ok()).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1621,6 +1598,21 @@ mod tests {
         assert!(TraceEvent::parse("{\"ev\":\"wat\",\"x\":1}").is_err());
         assert!(TraceEvent::parse("not json").is_err());
         assert!(TraceEvent::parse("{\"ev\":\"prune\",\"kind\":\"bogus\"}").is_err());
+        assert!(TraceEvent::parse("{\"ev\":\"node\" \"depth\":1}").is_err());
+        assert!(TraceEvent::parse("{\"ev\":\"node\",\"depth\":1,\"depth\":2}").is_err());
+        assert!(TraceEvent::parse("{\"ev\":\"result\",\"items\":[1,-2],\"fcp\":0.5}").is_err());
+    }
+
+    #[test]
+    fn overflowed_refusal_magnitudes_round_trip() {
+        let event = TraceEvent::DpDecision {
+            decision: DpDecision::ErrTol {
+                measured: f64::INFINITY,
+            },
+        };
+        let line = event.to_json();
+        assert!(line.ends_with("\"magnitude\":1e999}"), "{line}");
+        assert_eq!(TraceEvent::parse(&line).unwrap(), event);
     }
 
     #[test]

@@ -41,6 +41,11 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Benchmark pipeline smoke: run the tiny matrix end-to-end and
 # schema-validate the emitted BENCH_smoke.json.
 run scripts/bench.sh --smoke
+# Every committed report (schemas v1 to v7) must still read back and
+# schema-check under the workspace's one JSON reader.
+for report in BENCH_*.json; do
+    run cargo run --release -q -p pfcim-bench --bin bench-report -- --validate "$report"
+done
 # Profiler/exporter smoke: mine the high-probability dataset under the
 # span profiler and check both artifacts exist and carry the expected
 # markers. Deep validation (JSON round-trip, span nesting, Prometheus

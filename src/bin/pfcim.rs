@@ -94,6 +94,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use pfcim::core::json::{self, Value};
 use pfcim::core::{
     http_get, lint_prometheus, Algorithm, Client, CommonArgs, HistogramSink, JsonlSink, Miner,
     MinerConfig, MinerSink, SearchStrategy, ServeConfig, Server, ShardableSink, Snapshot,
@@ -601,51 +602,38 @@ fn run_serve() -> ExitCode {
 
 // --- pfcim stream -----------------------------------------------------
 
-/// Parse one JSONL stream line: `{"items": [1, 2, 3], "p": 0.9}` (`p`
-/// optional, default 1.0). Blank lines and `#` comments yield `None`.
+/// Parse one JSONL stream line: `{"items": [1, 2, 3], "p": 0.9}` (the
+/// top-level `p` is optional, default 1.0; other keys are ignored).
+/// Blank lines and `#` comments yield `None`.
 fn parse_stream_line(line: &str) -> Result<Option<(Vec<u32>, f64)>, String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("expected a JSON object")?;
-    let items_at = inner.find("\"items\"").ok_or("missing \"items\"")?;
-    let after = &inner[items_at..];
-    let open = after.find('[').ok_or("\"items\" is not an array")?;
-    let close = after.find(']').ok_or("unterminated \"items\" array")?;
-    if close < open {
-        return Err("unterminated \"items\" array".into());
+    let tx = json::parse(line).map_err(|e| e.to_string())?;
+    if tx.as_obj().is_none() {
+        return Err("expected a JSON object".into());
     }
-    let mut items = Vec::new();
-    for token in after[open + 1..close].split(',') {
-        let token = token.trim();
-        if token.is_empty() {
-            continue;
-        }
-        items.push(io::parse_item_id(token)?);
-    }
+    let mut items = tx
+        .get("items")
+        .ok_or("missing \"items\"")?
+        .as_arr()
+        .ok_or("\"items\" is not an array")?
+        .iter()
+        .map(|id| match id {
+            Value::Num(text) => io::parse_item_id(text),
+            other => Err(format!("invalid item id {other:?}")),
+        })
+        .collect::<Result<Vec<u32>, String>>()?;
     if items.is_empty() {
         return Err("empty itemset".into());
     }
     items.sort_unstable();
     items.dedup();
-    // "p" can only occur as a key outside the items array (the array body
-    // is digits and commas), so a plain find after the quote is safe.
-    let p = match inner.find("\"p\"") {
-        Some(at) => {
-            let rest = &inner[at + 3..];
-            let colon = rest.find(':').ok_or("\"p\" without a value")?;
-            let value = rest[colon + 1..].trim_start();
-            let end = value
-                .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-                .unwrap_or(value.len());
-            value[..end]
-                .parse::<f64>()
-                .map_err(|_| format!("invalid probability {:?}", &value[..end]))?
-        }
+    let p = match tx.get("p") {
+        Some(p) => p
+            .as_f64()
+            .ok_or_else(|| format!("invalid probability {p:?}"))?,
         None => 1.0,
     };
     if !(p > 0.0 && p <= 1.0) {
@@ -943,7 +931,9 @@ fn parse_query_args() -> Result<QueryArgs, String> {
 fn query_body(args: &QueryArgs, pfct: f64) -> String {
     let mut body = format!(
         "{{\"snapshot\":\"{}\",\"min_sup\":{},\"pfct\":{}",
-        args.snapshot, args.min_sup, pfct
+        json::escape(&args.snapshot),
+        args.min_sup,
+        pfct
     );
     if let Some(e) = args.epsilon {
         body.push_str(&format!(",\"epsilon\":{e}"));
@@ -952,10 +942,10 @@ fn query_body(args: &QueryArgs, pfct: f64) -> String {
         body.push_str(&format!(",\"delta\":{d}"));
     }
     if let Some(a) = &args.algorithm {
-        body.push_str(&format!(",\"algorithm\":\"{a}\""));
+        body.push_str(&format!(",\"algorithm\":\"{}\"", json::escape(a)));
     }
     if let Some(m) = &args.fcp_method {
-        body.push_str(&format!(",\"fcp_method\":\"{m}\""));
+        body.push_str(&format!(",\"fcp_method\":\"{}\"", json::escape(m)));
     }
     if let Some(t) = args.threads {
         body.push_str(&format!(",\"threads\":{t}"));
@@ -972,23 +962,23 @@ fn query_body(args: &QueryArgs, pfct: f64) -> String {
 
 /// Print a response's result set in exactly the batch-mode output format
 /// (`ids... : fcp`), so service answers diff cleanly against `pfcim
-/// FILE.dat` runs. Returns the number of lines printed.
-fn print_result_lines(resp: &str) -> usize {
-    let mut printed = 0;
-    let mut rest = resp;
-    while let Some(at) = rest.find("\"items\":[") {
-        rest = &rest[at + 9..];
-        let Some(close) = rest.find(']') else { break };
-        let ids = rest[..close].replace(',', " ");
-        let Some(fcp_at) = rest.find("\"fcp\":") else {
-            break;
-        };
-        let tail = &rest[fcp_at + 6..];
-        let end = tail.find([',', '}']).unwrap_or(tail.len());
-        println!("{ids} : {}", &tail[..end]);
-        printed += 1;
+/// FILE.dat` runs: ids and `fcp` are echoed as the server wrote them.
+/// Returns the number of lines printed.
+fn print_result_lines(resp: &Value) -> usize {
+    fn text(v: &Value) -> &str {
+        match v {
+            Value::Num(text) => text,
+            _ => "?",
+        }
     }
-    printed
+    let results = resp.get("results").and_then(Value::as_arr).unwrap_or(&[]);
+    for result in results {
+        let items = result.get("items").and_then(Value::as_arr).unwrap_or(&[]);
+        let ids: Vec<&str> = items.iter().map(text).collect();
+        let fcp = result.get("fcp").map_or("?", text);
+        println!("{} : {fcp}", ids.join(" "));
+    }
+    results.len()
 }
 
 fn run_query() -> ExitCode {
@@ -1052,21 +1042,20 @@ fn run_query() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let status = json_str(resp, "status").unwrap_or_else(|| "?".into());
+        let doc = json::parse(resp).unwrap_or(Value::Null);
+        let status = doc.get("status").and_then(Value::as_str).unwrap_or("?");
         if args.json {
             println!("{resp}");
         } else {
-            let lines = print_result_lines(resp);
+            let lines = print_result_lines(&doc);
             eprintln!(
                 "# pfct={pfct} status={status} carved={} {} results in {:.3}s",
-                json_str(resp, "carved")
-                    .or_else(|| resp.contains("\"carved\":true").then(|| "true".into()))
-                    .unwrap_or_else(|| "false".into()),
+                doc.get("carved").and_then(Value::as_bool).unwrap_or(false),
                 lines,
-                json_num(resp, "elapsed_s").unwrap_or(0.0),
+                doc.get("elapsed_s").and_then(Value::as_f64).unwrap_or(0.0),
             );
         }
-        match status.as_str() {
+        match status {
             "ok" => {}
             "deadline_exceeded" => {
                 eprintln!("# pfct={pfct}: deadline exceeded");
@@ -1075,7 +1064,7 @@ fn run_query() -> ExitCode {
             _ => {
                 eprintln!(
                     "error: pfct={pfct}: {}",
-                    json_str(resp, "error").unwrap_or_else(|| resp.clone())
+                    doc.get("error").and_then(Value::as_str).unwrap_or(resp)
                 );
                 return ExitCode::FAILURE;
             }
@@ -1085,22 +1074,6 @@ fn run_query() -> ExitCode {
 }
 
 // --- pfcim top --------------------------------------------------------
-
-/// Pull a string field out of a flat JSON object without a parser: the
-/// telemetry `/healthz` body is machine-generated with known keys, so a
-/// substring scan is reliable enough for a dashboard.
-fn json_str(body: &str, key: &str) -> Option<String> {
-    let tail = &body[body.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let tail = tail.strip_prefix('"')?;
-    Some(tail[..tail.find('"')?].to_owned())
-}
-
-/// Like [`json_str`] but for a bare number (returns `None` for `null`).
-fn json_num(body: &str, key: &str) -> Option<f64> {
-    let tail = &body[body.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let end = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
-}
 
 /// Parse the plain samples out of a Prometheus text body into
 /// `(name, value)` pairs (labelled samples like quantiles are skipped —
@@ -1174,16 +1147,18 @@ fn run_top() -> ExitCode {
                 .map(|&(_, v)| v)
                 .unwrap_or(0.0)
         };
-        let status = json_str(&health, "status").unwrap_or_else(|| "?".into());
-        let algo = json_str(&health, "algo").unwrap_or_default();
-        let elapsed = json_num(&health, "elapsed_s").unwrap_or(0.0);
-        let nodes = json_num(&health, "nodes").unwrap_or(0.0);
-        let results = json_num(&health, "results").unwrap_or(0.0);
+        let health = json::parse(&health).unwrap_or(Value::Null);
+        let num = |key: &str| health.get(key).and_then(Value::as_f64);
+        let status = health.get("status").and_then(Value::as_str).unwrap_or("?");
+        let algo = health.get("algo").and_then(Value::as_str).unwrap_or("");
+        let elapsed = num("elapsed_s").unwrap_or(0.0);
+        let nodes = num("nodes").unwrap_or(0.0);
+        let results = num("results").unwrap_or(0.0);
         let rate = match prev.replace((elapsed, nodes)) {
             Some((t0, n0)) if elapsed > t0 => (nodes - n0) / (elapsed - t0),
             _ => 0.0,
         };
-        let eta = json_num(&health, "eta_s")
+        let eta = num("eta_s")
             .map(|e| format!("{e:.1}s"))
             .unwrap_or_else(|| "-".into());
         // ANSI clear + home; plain enough for any terminal or a log file.
@@ -1192,7 +1167,7 @@ fn run_top() -> ExitCode {
         println!();
         println!(
             "  {} {:10} elapsed {elapsed:8.1}s   eta {eta}",
-            match status.as_str() {
+            match status {
                 "ok" => "RUNNING ",
                 "finished" => "FINISHED",
                 "stalled" => "STALLED ",
@@ -1206,8 +1181,10 @@ fn run_top() -> ExitCode {
         );
         println!(
             "  pool  {:>6.0}/{:<6.0} tasks   {:.0} workers   queue {:>6.0}   steals {:>6.0}",
-            json_num(&health, "pool")
-                .or_else(|| json_num(&health, "completed"))
+            health
+                .get("pool")
+                .and_then(|pool| pool.get("completed"))
+                .and_then(Value::as_f64)
                 .unwrap_or(metric("pfcim_pool_completed")),
             metric("pfcim_pool_total"),
             metric("pfcim_pool_workers"),
@@ -1228,7 +1205,7 @@ fn run_top() -> ExitCode {
         );
         println!(
             "  last progress {:>6.1}s ago   runs finished {:>4.0}",
-            json_num(&health, "last_progress_age_s").unwrap_or(0.0),
+            num("last_progress_age_s").unwrap_or(0.0),
             metric("pfcim_runs_finished"),
         );
         if status == "finished" || (iterations > 0 && tick >= iterations) {

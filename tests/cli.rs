@@ -240,3 +240,98 @@ fn huge_item_ids_are_malformed_input() {
         assert_malformed(out, &format!("line 2: item id {id} above the maximum"));
     }
 }
+
+/// `pfcim query` escapes the strings it sends: a snapshot named `q"x` —
+/// the name `pfcim serve` gives a file `q"x.dat` — answers exactly like a
+/// batch run of the same data.
+#[test]
+fn query_escapes_snapshot_names() {
+    let path = write_running_example("query_escapes_snapshot_names");
+    let db = pfcim::utdb::io::read_dat(&path).unwrap();
+    let server = pfcim::core::Server::bind(
+        "127.0.0.1:0",
+        vec![pfcim::core::Snapshot::new("q\"x", db)],
+        pfcim::core::ServeConfig::default(),
+    )
+    .expect("bind service");
+    let addr = server.local_addr().to_string();
+    let mine = ["--min-sup", "2", "--pfct", "0.8"];
+    let query = bin()
+        .args(["query", &addr, "--snapshot", "q\"x"])
+        .args(mine)
+        .output()
+        .unwrap();
+    assert!(query.status.success(), "{query:?}");
+    let batch = bin()
+        .arg(path.to_str().unwrap())
+        .args(mine)
+        .output()
+        .unwrap();
+    assert!(batch.status.success(), "{batch:?}");
+    assert!(!batch.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8(query.stdout).unwrap(),
+        String::from_utf8(batch.stdout).unwrap()
+    );
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Feed `{"items":[1,2],"p":0.9}` and then `line` to `pfcim stream`;
+/// returns the run and the window it dumped.
+fn stream_after_valid_line(test: &str, line: &str) -> (std::process::Output, String) {
+    let dump = std::env::temp_dir().join(format!("pfcim_cli_{test}_{}.dat", std::process::id()));
+    let mut child = bin()
+        .args(["stream", "-", "--window", "4", "--min-sup", "1"])
+        .arg("--dump-final")
+        .arg(&dump)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let feed = format!("{{\"items\":[1,2],\"p\":0.9}}\n{line}\n");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(feed.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let window = std::fs::read_to_string(&dump).unwrap_or_default();
+    std::fs::remove_file(&dump).ok();
+    (out, window)
+}
+
+#[test]
+fn stream_lines_are_read_as_json() {
+    // Only a top-level `p` is the probability: a string value "p", or a
+    // `p` inside a nested object, is not; other keys are ignored.
+    for (i, (line, window)) in [
+        (r#"{"items":[1,3],"src":"p"}"#, "1 2 : 0.9\n1 3\n"),
+        (
+            r#"{"src":"p","items":[1,3],"p":0.8}"#,
+            "1 2 : 0.9\n1 3 : 0.8\n",
+        ),
+        (r#"{"items":[1,3],"meta":{"p":0.2}}"#, "1 2 : 0.9\n1 3\n"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (out, dumped) = stream_after_valid_line(&format!("stream_lines_{i}"), line);
+        assert!(out.status.success(), "{line}: {out:?}");
+        assert_eq!(dumped, window, "{line}");
+    }
+    // Malformed JSON is malformed input, reported with its line number.
+    for (i, line) in [
+        r#"{"items":[1,3] "p":0.8}"#,
+        r#"{"items":[1,3],"p":0.8,"p":0.2}"#,
+        r#"{"items":[1,3],"p":0.8}}"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (out, _) = stream_after_valid_line(&format!("stream_bad_{i}"), line);
+        assert_malformed(out, "line 2: ");
+    }
+}

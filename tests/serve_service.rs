@@ -227,3 +227,38 @@ fn carved_answers_are_bit_identical_to_direct_runs() {
         "carved answer diverges from mining pfct=0.7 directly"
     );
 }
+
+/// Integer request fields are read exactly: seeds 2^53 and 2^53 + 1,
+/// which collapse onto one value when read through an `f64`, each answer
+/// byte-identically to a direct sampled run with that seed, and the
+/// second is mined afresh rather than carved from the first.
+#[test]
+fn seeds_above_two_to_the_53_stay_distinct() {
+    let db = table4();
+    let server = start_server();
+    let addr = server.local_addr().to_string();
+    let mut client = pfcim::core::Client::connect(&addr, TIMEOUT).expect("connect");
+    for seed in [1u64 << 53, (1u64 << 53) + 1] {
+        let resp = client
+            .request(&format!(
+                "{{\"snapshot\":\"t4\",\"min_sup\":2,\"pfct\":0.6,\
+                 \"fcp_method\":\"approx\",\"threads\":1,\"seed\":{seed}}}"
+            ))
+            .expect("query");
+        let direct = Miner::new(&db)
+            .config(
+                MinerConfig::new(2, 0.6)
+                    .with_fcp_method(pfcim::core::FcpMethod::ApproxOnly)
+                    .with_threads(1)
+                    .with_seed(seed),
+            )
+            .run();
+        assert_eq!(
+            results_of(&resp),
+            results_of_outcome(&direct),
+            "seed {seed}"
+        );
+        assert!(resp.contains("\"carved\":false"), "seed {seed}: {resp}");
+    }
+    server.shutdown();
+}
